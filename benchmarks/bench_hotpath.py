@@ -22,12 +22,6 @@ Four cache/patch-hit-rate metrics are reported and **asserted present**:
   patch; rebuilds now only happen at compaction boundaries, so this
   must stay >= 0.9 on the reconstruction workload.
 
-``test_kernel_backend_speedups`` additionally records which kernel
-backend is active, whether numba is importable, and - where it is -
-the numba-vs-numpy speedup of each lifted kernel (batch MHH, common-
-neighbor intersection, fused Adam).  Without numba the speedup keys are
-written as null and the test skips with a visible notice.
-
 Thresholds are ~10x below measured values; they only trip on
 order-of-magnitude regressions (e.g. the vectorized path silently
 falling back to the scalar loop, or the row cache never hitting).
@@ -39,11 +33,8 @@ import json
 import os
 import time
 
-import numpy as np
-import pytest
 from conftest import RESULTS_DIR, emit_json
 
-from repro import kernels
 from repro.core.features import CliqueFeaturizer, StructuralFeaturizer
 from repro.core.marioh import MARIOH
 from repro.datasets import load
@@ -68,16 +59,6 @@ REQUIRED_CACHE_KEYS = (
     "per_iteration_reconstruct_ms_mean",
     "per_iteration_reconstruct_ms_max",
     "peak_rss_mb",
-)
-
-#: kernel-backend keys written by test_kernel_backend_speedups; the
-#: speedups are null (and unasserted) when numba is not importable.
-REQUIRED_KERNEL_KEYS = (
-    "kernel_backend",
-    "numba_available",
-    "kernel_speedup_batch_mhh",
-    "kernel_speedup_common_neighbors",
-    "kernel_speedup_adam",
 )
 
 #: grid-throughput keys written by test_grid_throughput; tracked the
@@ -275,92 +256,6 @@ def _merge_into_hotpath(metrics: dict) -> None:
     path.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-
-
-def test_kernel_backend_speedups():
-    """Numba-vs-numpy speedup of each lifted kernel, where numba exists.
-
-    The keys are always written (so the trajectory file keeps a stable
-    schema); without numba the speedups are null and the test skips
-    with a visible notice instead of failing.  With numba, each
-    compiled kernel must at least match the vectorized numpy reference
-    (speedup >= 1.0) after JIT warm-up.
-    """
-    metrics = {
-        "kernel_backend": kernels.active_backend_name(),
-        "numba_available": kernels.numba_available(),
-        "kernel_speedup_batch_mhh": None,
-        "kernel_speedup_common_neighbors": None,
-        "kernel_speedup_adam": None,
-    }
-    if not kernels.numba_available():
-        _merge_into_hotpath(metrics)
-        pytest.skip(
-            "numba is not importable: kernel speedups recorded as null "
-            "in BENCH_hotpath.json; install numba to benchmark the "
-            "compiled backend"
-        )
-
-    bundle = load("eu", seed=0)
-    graph = bundle.target_graph
-    snapshot = graph.snapshot()
-    edges = list(graph.edges())
-    a = snapshot.index_of(u for u, _ in edges)
-    b = snapshot.index_of(v for _, v in edges)
-    rng = np.random.default_rng(0)
-    n_params = 200_000
-    adam_buffers = {
-        name: (
-            rng.normal(size=n_params).copy(),
-            np.zeros(n_params),
-            np.zeros(n_params),
-        )
-        for name in ("numpy", "numba")
-    }
-    adam_grads = rng.normal(size=n_params)
-
-    def timed(backend, fn, units):
-        with kernels.use_backend(backend):
-            return _throughput(fn, units)
-
-    speedups = {}
-    for key, fn, units in (
-        (
-            "kernel_speedup_batch_mhh",
-            lambda: snapshot.batch_mhh(a, b),
-            len(edges),
-        ),
-        (
-            "kernel_speedup_common_neighbors",
-            lambda: snapshot.batch_common_neighbor_counts(a, b),
-            len(edges),
-        ),
-    ):
-        reference = timed("numpy", fn, units)
-        compiled = timed("numba", fn, units)
-        speedups[key] = compiled / reference
-
-    def adam_for(backend):
-        params, m, v = adam_buffers[backend]
-
-        def step():
-            kernels.active_backend().adam_step(
-                params, adam_grads, m, v, 1, 1e-3, 0.9, 0.999, 1e-8
-            )
-
-        return step
-
-    reference = timed("numpy", adam_for("numpy"), n_params)
-    compiled = timed("numba", adam_for("numba"), n_params)
-    speedups["kernel_speedup_adam"] = compiled / reference
-
-    metrics.update({key: round(value, 3) for key, value in speedups.items()})
-    _merge_into_hotpath(metrics)
-    for key, value in speedups.items():
-        assert value >= 1.0, (
-            f"{key}: compiled kernel slower than the numpy reference "
-            f"({value:.3f}x)"
-        )
 
 
 def test_grid_throughput():
@@ -579,7 +474,6 @@ def test_hotpath_metrics_written():
         REQUIRED_CACHE_KEYS
         + REQUIRED_GRID_KEYS
         + REQUIRED_RETRY_KEYS
-        + REQUIRED_KERNEL_KEYS
         + REQUIRED_STORE_KEYS
     )
     missing = [key for key in required if key not in payload]

@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import kernels as kernel_backends
 from repro.core.classifier import CliqueClassifier
 from repro.core.features import CliqueFeaturizer, StructuralFeaturizer
 from repro.core.filtering import filter_guaranteed_pairs
@@ -143,14 +142,6 @@ class MARIOH:
         :class:`~repro.resilience.errors.InvariantViolation` instead -
         the mode the parity/CI suites run under, so corruption can
         never hide behind the fallback.
-    kernels:
-        Compute backend for the hot array kernels (batch MHH,
-        common-neighbor intersection, fused Adam step) during ``fit`` /
-        ``reconstruct``: ``"numpy"`` (the pinned reference),
-        ``"numba"`` (compiled, requires numba, raises
-        :class:`~repro.kernels.KernelBackendUnavailable` when missing),
-        or ``None`` (the default) to respect the process-wide selection
-        (``REPRO_KERNELS`` environment variable, numpy otherwise).
     seed:
         Seeds classifier initialization and sub-clique sampling.
     """
@@ -169,7 +160,6 @@ class MARIOH:
         engine: str = "incremental",
         strict_invariants: bool = False,
         record_provenance: bool = False,
-        kernels: Optional[str] = None,
         seed: Optional[int] = None,
     ) -> None:
         if not 0.0 < theta_init <= 1.0:
@@ -189,11 +179,6 @@ class MARIOH:
             raise ValueError(
                 f"engine must be 'rescan' or 'incremental', got {engine!r}"
             )
-        if kernels is not None and kernels not in kernel_backends.BACKEND_NAMES:
-            raise ValueError(
-                f"kernels must be one of {kernel_backends.BACKEND_NAMES} "
-                f"or None, got {kernels!r}"
-            )
         self.theta_init = theta_init
         self.r = r
         self.alpha = alpha
@@ -206,7 +191,6 @@ class MARIOH:
         self.engine = engine
         self.strict_invariants = strict_invariants
         self.record_provenance = record_provenance
-        self.kernels = kernels
         self.seed = seed
 
         featurizer = (
@@ -283,27 +267,6 @@ class MARIOH:
         :attr:`fit_from_store_` to ``True``.  Models with ``seed=None``
         train nondeterministically and are never cached.
         """
-        with kernel_backends.use_backend(self.kernels):
-            return self._fit(source_hypergraph, supervision_fraction, store)
-
-    def _fit_config(self, supervision_fraction: float) -> Dict[str, object]:
-        """Every knob that changes what ``_fit`` trains."""
-        return {
-            "schema": FIT_SCHEMA,
-            "supervision_fraction": supervision_fraction,
-            "variant": self.variant,
-            "hidden_sizes": list(self.hidden_sizes),
-            "negative_ratio": self.negative_ratio,
-            "max_epochs": self.max_epochs,
-            "seed": self.seed,
-        }
-
-    def _fit(
-        self,
-        source_hypergraph: Hypergraph,
-        supervision_fraction: float,
-        store=None,
-    ) -> "MARIOH":
         from repro.store import artifacts, manifest
 
         self.fit_from_store_ = None
@@ -341,6 +304,18 @@ class MARIOH:
             )
             self.fit_from_store_ = False
         return self
+
+    def _fit_config(self, supervision_fraction: float) -> Dict[str, object]:
+        """Every knob that changes what ``fit`` trains."""
+        return {
+            "schema": FIT_SCHEMA,
+            "supervision_fraction": supervision_fraction,
+            "variant": self.variant,
+            "hidden_sizes": list(self.hidden_sizes),
+            "negative_ratio": self.negative_ratio,
+            "max_epochs": self.max_epochs,
+            "seed": self.seed,
+        }
 
     def _restore_classifier(self, fitted: "MARIOH") -> None:
         """Adopt another instance's trained classifier (weights only).
@@ -401,10 +376,6 @@ class MARIOH:
             from repro.sharding.execute import reconstruct_sharded
 
             return reconstruct_sharded(self, target_graph, sharding)
-        with kernel_backends.use_backend(self.kernels):
-            return self._reconstruct(target_graph)
-
-    def _reconstruct(self, target_graph: WeightedGraph) -> Hypergraph:
         reconstruction = Hypergraph(nodes=target_graph.nodes)
         reference_graph = target_graph
         sample_seed = _sampling_seed(self.seed)

@@ -25,25 +25,6 @@ from repro.hypergraph.hypergraph import Hypergraph
 # same mix.
 from repro.rng import MASK64, mix64, mix64_int
 
-#: historical private aliases, kept importable through ``__getattr__``
-#: below (with a DeprecationWarning) for one release cycle.
-_RNG_ALIASES = {"_MASK64": MASK64, "_mix64": mix64, "_mix64_int": mix64_int}
-
-
-def __getattr__(name: str):
-    """Deprecation shim for the pre-consolidation SplitMix64 aliases."""
-    if name in _RNG_ALIASES:
-        import warnings
-
-        warnings.warn(
-            f"repro.core.search.{name} is deprecated; import the "
-            f"equivalent helper from repro.rng instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _RNG_ALIASES[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 def _replace_if_present(
     clique: Clique, graph: WeightedGraph, reconstruction: Hypergraph

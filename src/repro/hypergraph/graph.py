@@ -48,8 +48,6 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tup
 
 import numpy as np
 
-from repro import kernels
-
 Node = int
 
 _EMPTY_SET: FrozenSet[Node] = frozenset()
@@ -365,33 +363,43 @@ class GraphSnapshot:
         keep = self.alive[flat]
         return flat[keep], owner[keep]
 
-    def _kernel_args(self, a: np.ndarray, b: np.ndarray) -> tuple:
-        return (
-            self.keys,
-            self.nbr,
-            self.wts,
-            self.alive,
-            self.indptr,
-            self.degrees,
-            a,
-            b,
-            self.key_base,
-        )
+    def _intersect(
+        self, a: np.ndarray, b: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Live common neighbors of row-index pairs ``(a[i], b[i])``.
+
+        Walks the sparser endpoint's sorted neighbor row and binary-
+        searches the other endpoint's row via ``keys``.  Returns, for
+        every match, the owning pair's position and the two incident
+        edge weights, in per-pair slot order - the order that fixes the
+        float accumulation of the callers' ``bincount`` sums.
+        """
+        empty = np.zeros(0, dtype=np.float64)
+        swap = self.degrees[a] > self.degrees[b]
+        probe = np.where(swap, b, a)
+        other = np.where(swap, a, b)
+        flat, pair_of = self.expand_rows(probe)
+        if len(flat) == 0:
+            return np.zeros(0, dtype=np.int64), empty, empty
+        search = other[pair_of] * self.key_base + self.nbr[flat]
+        pos = np.searchsorted(self.keys, search)
+        pos = np.minimum(pos, len(self.keys) - 1)
+        found = (self.keys[pos] == search) & self.alive[pos]
+        return pair_of[found], self.wts[flat[found]], self.wts[pos[found]]
 
     def batch_mhh(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Eq. (1) for every row-index pair: sorted-neighbor intersection
-        with ``min`` sums, one pass for the batch.
-
-        Dispatches to the active kernel backend
-        (:func:`repro.kernels.active_backend`); the numpy backend is the
-        pinned reference, the numba backend matches its accumulation
-        order.
-        """
+        with ``min`` sums, one pass for the batch."""
         a = np.atleast_1d(np.asarray(a, dtype=np.int64))
         b = np.atleast_1d(np.asarray(b, dtype=np.int64))
         if len(a) == 0 or len(self.keys) == 0:
             return np.zeros(len(a), dtype=np.float64)
-        return kernels.active_backend().batch_mhh(*self._kernel_args(a, b))
+        pair_of, w1, w2 = self._intersect(a, b)
+        sums = np.bincount(
+            pair_of, weights=np.minimum(w1, w2), minlength=len(a)
+        )
+        # bincount returns int64 for empty inputs even with float weights
+        return sums.astype(np.float64, copy=False)
 
     def batch_common_neighbor_counts(
         self, a: np.ndarray, b: np.ndarray
@@ -401,9 +409,7 @@ class GraphSnapshot:
         b = np.atleast_1d(np.asarray(b, dtype=np.int64))
         if len(a) == 0 or len(self.keys) == 0:
             return np.zeros(len(a), dtype=np.int64)
-        return kernels.active_backend().batch_common_neighbor_counts(
-            *self._kernel_args(a, b)
-        )
+        return np.bincount(self._intersect(a, b)[0], minlength=len(a))
 
 
 class WeightedGraph:

@@ -12,8 +12,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import kernels
 from repro.rng import counter_permutation, mix_tokens
+
+#: Rows per forward-pass tile when scoring (see
+#: :meth:`MLPClassifier.predict_proba`).
+SCORE_TILE = 64
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
@@ -40,12 +43,9 @@ class _AdamState:
 
     All parameters live in a single contiguous float64 buffer (the MLP
     layers are views into it), so one step is a single fused update over
-    the whole buffer instead of per-parameter loops.  The update is
-    dispatched through :func:`repro.kernels.active_backend`; the numpy
-    reference performs the same elementwise float operations (and
-    roundings) as the textbook per-parameter form, so training stays
-    bit-identical, and the numba backend matches the reference's
-    operation order.
+    the whole buffer instead of per-parameter loops.  The update performs
+    the same elementwise float operations (and roundings) as the
+    textbook per-parameter form, so training stays bit-identical to it.
     """
 
     def __init__(self, n_params: int) -> None:
@@ -63,8 +63,14 @@ class _AdamState:
         eps: float = 1e-8,
     ) -> None:
         self.t += 1
-        kernels.active_backend().adam_step(
-            params, grads, self.m, self.v, self.t, lr, beta1, beta2, eps
+        correction1 = 1.0 - beta1**self.t
+        correction2 = 1.0 - beta2**self.t
+        self.m *= beta1
+        self.m += (1.0 - beta1) * grads
+        self.v *= beta2
+        self.v += (1.0 - beta2) * grads * grads
+        params -= lr * (self.m / correction1) / (
+            np.sqrt(self.v / correction2) + eps
         )
 
 
@@ -338,11 +344,28 @@ class MLPClassifier:
 
     # ------------------------------------------------------------------
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        """Class probabilities, shape (n, n_classes)."""
+        """Class probabilities, shape (n, n_classes).
+
+        The forward pass runs in tiles of :data:`SCORE_TILE` rows, the
+        last one padded with copies of the first row, so every matmul
+        has one shape whatever the batch size.  One BLAS call over a
+        whole batch may round a row differently depending on the size
+        and content of the batch, which would let a component
+        reconstructed on its own break a near-tie differently from the
+        whole graph.  With fixed-shape tiles a row scores the same alone
+        as inside any batch - a property of the BLAS build, which the
+        batch-invariance tests pin.
+        """
         if not self.is_fitted:
             raise RuntimeError("classifier is not fitted")
         x = self._standardize(np.asarray(features, dtype=np.float64))
-        _, logits = self._forward(x)
+        n = len(x)
+        x = np.concatenate([x, np.repeat(x[:1], -n % SCORE_TILE, axis=0)])
+        logits = np.empty((len(x), self._weights[-1].shape[1]))
+        for start in range(0, len(x), SCORE_TILE):
+            tile = slice(start, start + SCORE_TILE)
+            logits[tile] = self._forward(x[tile])[1]
+        logits = logits[:n]
         if self._n_classes == 2:
             positive = _sigmoid(logits[:, 0])
             return np.column_stack([1.0 - positive, positive])

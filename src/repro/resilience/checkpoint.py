@@ -3,11 +3,11 @@
 :class:`CheckpointStore` wraps the orchestrator's JSON checkpoint file
 with three guarantees the bare ``tmp + os.replace`` idiom lacked:
 
-**Durability** - the temp file is flushed *and fsynced* before the
-rename (and the directory entry is fsynced after it), so a process
-killed mid-write can never publish a checkpoint that parses but is
-truncated: either the complete new bytes are visible under the final
-name, or the old file is untouched.
+**Durability** - the bytes land through
+:func:`~repro.store.atomic.atomic_write_bytes` (temp file, fsync,
+rename, directory fsync), so a process killed mid-write can never
+publish a checkpoint that parses but is truncated: the final name holds
+either the complete new bytes or no new bytes at all.
 
 **Integrity** - every checkpoint carries a sha256 footer over its
 payload bytes (the per-file hash-registry idiom, applied to
@@ -32,9 +32,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional
+
+from repro.store.atomic import atomic_write_bytes
 
 #: Separator between the JSON body and its integrity footer.
 FOOTER_PREFIX = "\n#sha256="
@@ -102,61 +103,28 @@ class CheckpointStore:
     def write(self, payload: Dict[str, object]) -> None:
         """Atomically publish ``payload``, rotating the old good copy.
 
-        Write order: temp file -> flush -> fsync -> (verified primary
-        rotates to ``.bak``) -> rename temp over primary -> directory
-        fsync.  A kill at any point leaves either the old verified state
-        or the complete new one - never a half-written primary, and
+        Write order: (verified primary rotates to ``.bak``) -> atomic
+        write of the new bytes over the primary.  A kill at any point
+        leaves the complete new primary or the old verified copy (which
+        :meth:`read` rolls back to) - never a half-written primary, and
         never a corrupt backup.
         """
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        handle = tempfile.NamedTemporaryFile(
-            "w",
-            encoding="utf-8",
-            dir=self.path.parent,
-            prefix=self.path.name + ".",
-            suffix=".tmp",
-            delete=False,
+        # Only a checkpoint that still verifies may become the backup;
+        # rotating unverified bytes would let a single corruption event
+        # poison both copies.
+        if self._read_verified(self.path) is not None:
+            os.replace(self.path, self.backup_path)
+        atomic_write_bytes(
+            self.path, encode_checkpoint(payload).encode("utf-8")
         )
-        try:
-            with handle:
-                handle.write(encode_checkpoint(payload))
-                handle.flush()
-                os.fsync(handle.fileno())
-            if self.path.exists():
-                # Only a checkpoint that still verifies may become the
-                # backup; rotating unverified bytes would let a single
-                # corruption event poison both copies.
-                if self._read_verified(self.path) is not None:
-                    os.replace(self.path, self.backup_path)
-            os.replace(handle.name, self.path)
-            self._fsync_dir()
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
-
-    def _fsync_dir(self) -> None:
-        """Best-effort fsync of the directory entry (rename durability)."""
-        try:
-            fd = os.open(self.path.parent, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(fd)
-        except OSError:
-            pass
-        finally:
-            os.close(fd)
 
     def read(self) -> Optional[Dict[str, object]]:
         """The newest payload that verifies, rolling back if needed.
 
         Tries the primary first; on corruption (or absence after a
-        crash between the rotation renames) falls back to the ``.bak``
-        copy, recording a ``rollback`` event.  Returns ``None`` when no
-        copy verifies - the caller starts fresh.
+        crash between the rotation and the write) falls back to the
+        ``.bak`` copy, recording a ``rollback`` event.  Returns ``None``
+        when no copy verifies - the caller starts fresh.
         """
         payload = self._read_verified(self.path)
         if payload is not None:

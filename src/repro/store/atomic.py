@@ -5,10 +5,8 @@ through :func:`atomic_write_bytes`: write to a temp file in the target
 directory, flush, ``fsync``, ``os.replace`` over the final name, then
 fsync the directory entry.  A process killed at any point leaves either
 the complete old file or the complete new one - never a torn tail that
-parses halfway.  This is the same discipline
-:class:`~repro.resilience.checkpoint.CheckpointStore` applies to
-orchestrator checkpoints, factored out so model files and store blobs
-get it too.
+parses halfway.  :class:`~repro.resilience.checkpoint.CheckpointStore`
+writes orchestrator and serve checkpoints through it as well.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
 from repro.baselines.shyre import MotifFeaturizer
 from repro.core.features import CliqueFeaturizer, StructuralFeaturizer
 from repro.core.filtering import filter_guaranteed_pairs, mhh
@@ -28,19 +27,6 @@ from repro.hypergraph.split import split_source_target
 from tests.conftest import random_hypergraph
 
 FEATURIZERS = [CliqueFeaturizer, StructuralFeaturizer, MotifFeaturizer]
-
-#: both kernel backends; numba runs only where it is importable
-BACKENDS = [
-    pytest.param("numpy", id="numpy"),
-    pytest.param(
-        "numba",
-        id="numba",
-        marks=pytest.mark.skipif(
-            not kernels.numba_available(),
-            reason="numba is not importable in this environment",
-        ),
-    ),
-]
 
 
 def _random_graph(rng, n_nodes, edge_prob=0.35, max_weight=6):
@@ -116,42 +102,6 @@ class TestBatchedKernels:
                     reference.add((u, v), multiplicity=residual)
                     slow.decrement_edge(u, v, residual)
             assert fast == slow
-
-
-class TestBackendParity:
-    """The same 1e-9 parity contract must hold on every kernel backend
-    (numpy is the pinned reference; numba must reproduce it)."""
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("featurizer_cls", FEATURIZERS)
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=8, deadline=None)
-    def test_featurize_many_matches_reference_on_backend(
-        self, backend, featurizer_cls, seed
-    ):
-        rng = np.random.default_rng(seed)
-        graph = _random_graph(rng, int(rng.integers(4, 16)))
-        candidates = _random_candidates(rng, 16)
-        featurizer = featurizer_cls()
-        with kernels.use_backend(backend):
-            batched = featurizer.featurize_many(candidates, graph)
-            reference = np.vstack(
-                [featurizer.featurize(c, graph) for c in candidates]
-            )
-        np.testing.assert_allclose(batched, reference, rtol=0, atol=1e-9)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_batch_mhh_matches_scalar_on_backend(self, backend):
-        rng = np.random.default_rng(123)
-        graph = _random_graph(rng, 14)
-        edges = list(graph.edges())
-        snapshot = graph.snapshot()
-        a = snapshot.index_of(u for u, _ in edges)
-        b = snapshot.index_of(v for _, v in edges)
-        with kernels.use_backend(backend):
-            batched = snapshot.batch_mhh(a, b)
-        scalar = np.array([mhh(graph, u, v) for u, v in edges], dtype=float)
-        np.testing.assert_allclose(batched, scalar, rtol=0, atol=1e-9)
 
 
 class TestFeaturizerParity:

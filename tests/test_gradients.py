@@ -10,15 +10,9 @@ checks slow); a descent check still catches sign and scaling errors.
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.ml.gcn import GCNLinkEmbedder
 from repro.ml.mlp import MLPClassifier, _AdamState, _sigmoid
 from tests.conftest import two_clique_graph
-
-requires_numba = pytest.mark.skipif(
-    not kernels.numba_available(),
-    reason="numba is not importable in this environment",
-)
 
 
 def _loss_of(model, x, y):
@@ -107,52 +101,29 @@ class TestMLPGradients:
         )
 
 
-class TestAdamBackendParity:
-    """The optimizer dispatches through the kernel registry; every
-    backend must produce the same trajectory to 1e-9."""
-
-    def _run_adam(self, backend, n=32, steps=6):
-        rng = np.random.default_rng(0)
+class TestAdamStep:
+    def test_adam_step_matches_textbook_per_parameter_loop(self):
+        rng = np.random.default_rng(3)
+        n = 40
         params = rng.normal(size=n)
         state = _AdamState(n)
-        with kernels.use_backend(backend):
-            for _ in range(steps):
-                grads = rng.normal(size=n)
-                state.step(params, grads, lr=1e-3)
-        return params
-
-    def test_default_dispatch_matches_explicit_numpy(self):
-        np.testing.assert_array_equal(
-            self._run_adam(None), self._run_adam("numpy")
-        )
-
-    @requires_numba
-    def test_numba_adam_matches_numpy_to_1e9(self):
-        np.testing.assert_allclose(
-            self._run_adam("numba"),
-            self._run_adam("numpy"),
-            rtol=0,
-            atol=1e-9,
-        )
-
-    @requires_numba
-    def test_mlp_training_identical_across_backends(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(40, 4))
-        y = rng.integers(0, 2, size=40)
-
-        def fit(backend):
-            model = MLPClassifier(
-                hidden_sizes=(6,), max_epochs=10, seed=0
-            )
-            with kernels.use_backend(backend):
-                model.fit(x, y)
-            return [w.copy() for w in model._weights + model._biases]
-
-        for reference, compiled in zip(fit("numpy"), fit("numba")):
-            np.testing.assert_allclose(
-                compiled, reference, rtol=0, atol=1e-9
-            )
+        ref_params = params.copy()
+        ref_m = np.zeros(n)
+        ref_v = np.zeros(n)
+        lr, beta1, beta2, eps = 1e-3, 0.9, 0.999, 1e-8
+        for t in range(1, 6):
+            grads = rng.normal(size=n)
+            state.step(params, grads, lr, beta1, beta2, eps)
+            for i in range(n):  # textbook scalar Adam
+                g = grads[i]
+                ref_m[i] = beta1 * ref_m[i] + (1.0 - beta1) * g
+                ref_v[i] = beta2 * ref_v[i] + (1.0 - beta2) * g * g
+                m_hat = ref_m[i] / (1.0 - beta1**t)
+                v_hat = ref_v[i] / (1.0 - beta2**t)
+                ref_params[i] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            np.testing.assert_allclose(params, ref_params, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(state.m, ref_m, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(state.v, ref_v, rtol=0, atol=1e-12)
 
 
 class TestGCNDescent:

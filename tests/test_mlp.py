@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ml.mlp import MLPClassifier, _relu, _sigmoid, _softmax
 
@@ -153,3 +155,33 @@ class TestValidation:
         model = MLPClassifier(hidden_sizes=(8,), max_epochs=10, seed=0).fit(x, y)
         assert len(model.loss_history_) >= 1
         assert all(np.isfinite(v) for v in model.loss_history_)
+
+
+@pytest.fixture(scope="module")
+def scorer():
+    """A fitted binary classifier shaped like MARIOH's clique scorer."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(400, 23)) * rng.uniform(0.1, 10.0, size=23)
+    y = (x[:, 0] + x[:, 1] > 0).astype(int)
+    return MLPClassifier(max_epochs=5, seed=0).fit(x, y)
+
+
+class TestBatchInvariance:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_rows=st.integers(min_value=1, max_value=150),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_row_scores_the_same_alone_as_in_any_batch(
+        self, scorer, seed, n_rows
+    ):
+        rng = np.random.default_rng(seed)
+        scale = rng.uniform(0.1, 10.0, size=23)
+        batch = rng.normal(size=(n_rows, 23)) * scale
+        together = scorer.predict_score(batch)
+        alone = [scorer.predict_score(row[None, :])[0] for row in batch]
+        # Exact equality: a last-ulp difference can flip a near-tie.
+        assert together.tolist() == alone
+
+    def test_empty_batch(self, scorer):
+        assert scorer.predict_proba(np.zeros((0, 23))).shape == (0, 2)

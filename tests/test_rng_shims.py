@@ -1,85 +1,34 @@
-"""The RNG consolidation's deprecation shims and derivation parity.
+"""Derivation parity of the consolidated SplitMix64 helpers.
 
-PR 8 consolidated the per-module SplitMix64 helpers into
-:mod:`repro.rng`; the historical private aliases stayed importable from
-``repro.core.search`` through a module ``__getattr__`` shim for one
-release cycle.  These tests pin the shim's contract (warns, returns the
-*identical* object, unknown names still raise) and the arithmetic
-parity of :func:`repro.rng.derive_seed` with the pre-consolidation
-per-module derivation chain, including golden values so the seeds -
-and every reconstruction derived from them - can never silently drift.
+The per-module SplitMix64 helpers now live in :mod:`repro.rng`.  These
+tests pin the arithmetic parity of :func:`repro.rng.derive_seed` with
+the pre-consolidation per-module derivation chain, including golden
+values so the seeds - and every reconstruction derived from them - can
+never silently drift, and the parity of the array and scalar mix64.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
-import repro.core.search as search
 from repro import rng
-
-SHIMMED = ("_MASK64", "_mix64", "_mix64_int")
-
-
-# ---------------------------------------------------------------------------
-# The __getattr__ shim
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "alias, canonical",
-    [
-        ("_MASK64", rng.MASK64),
-        ("_mix64", rng.mix64),
-        ("_mix64_int", rng.mix64_int),
-    ],
-)
-def test_alias_warns_and_is_identical(alias, canonical):
-    with pytest.warns(DeprecationWarning, match=f"{alias} is deprecated"):
-        value = getattr(search, alias)
-    assert value is canonical
-
-
-def test_warning_names_the_replacement():
-    with pytest.warns(DeprecationWarning, match="repro.rng"):
-        search._mix64_int  # noqa: B018 - the access is the test
-
-
-def test_alias_registry_is_exactly_the_historical_set():
-    assert tuple(sorted(search._RNG_ALIASES)) == tuple(sorted(SHIMMED))
-
-
-def test_unknown_attribute_still_raises():
-    with pytest.raises(AttributeError, match="no attribute '_mix63'"):
-        search._mix63
-    with pytest.raises(AttributeError):
-        search.definitely_not_a_thing
-
-
-def test_regular_attributes_do_not_warn():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        assert callable(search.bidirectional_search)
-        assert callable(search.decay_threshold)
-        assert search.__name__ == "repro.core.search"
 
 
 # ---------------------------------------------------------------------------
 # derive_seed parity with the pre-consolidation chain
 # ---------------------------------------------------------------------------
 def legacy_derive(seed: int, tokens) -> int:
-    """The old per-module derivation, reimplemented from the historical
-    helpers the shim still exposes: a mix64_int chain folding string
-    bytes and masked ints, masked to 63 bits at the end."""
-    mask = search._RNG_ALIASES["_MASK64"]
-    mix_int = search._RNG_ALIASES["_mix64_int"]
-    state = mix_int(seed & mask)
+    """The old per-module derivation, reimplemented: a mix64_int chain
+    folding string bytes and masked ints, masked to 63 bits at the
+    end."""
+    state = rng.mix64_int(seed & rng.MASK64)
     for token in tokens:
         if isinstance(token, str):
             for byte in token.encode("utf-8"):
-                state = mix_int(state ^ byte)
+                state = rng.mix64_int(state ^ byte)
         else:
-            state = mix_int(state ^ (int(token) & mask))
+            state = rng.mix64_int(state ^ (int(token) & rng.MASK64))
     return state & 0x7FFFFFFFFFFFFFFF
 
 

@@ -18,7 +18,6 @@ The contracts under test, in order of importance:
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -343,7 +342,7 @@ class TestPhase2Scope:
 
 
 # ----------------------------------------------------------------------
-# Satellite seams: rng consolidation, RSS probe, deprecation shims
+# Satellite seams: rng consolidation, RSS probe
 # ----------------------------------------------------------------------
 class TestSupportSeams:
     def test_derive_seed_separates_coordinates(self):
@@ -356,16 +355,3 @@ class TestSupportSeams:
     def test_peak_rss_probe_is_positive(self):
         assert peak_rss_mb() > 0.0
 
-    def test_search_rng_aliases_warn_but_resolve(self):
-        import repro.core.search as search
-        from repro.rng import MASK64, mix64
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert search._MASK64 == MASK64
-            assert search._mix64 is mix64
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        with pytest.raises(AttributeError):
-            search.no_such_attribute

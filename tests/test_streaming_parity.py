@@ -14,10 +14,17 @@ refresh).
 
 from __future__ import annotations
 
+import dataclasses
+from collections import deque
+from itertools import combinations, cycle, islice
+
 import pytest
 
 from repro.core.marioh import MARIOH
+from repro.datasets.registry import DATASETS
+from repro.datasets.synthetic import generate_group_hypergraph
 from repro.hypergraph.graph import WeightedGraph
+from repro.hypergraph.split import split_source_target
 from repro.serve.engine import (
     EDIT_OPS,
     StreamingReconstructor,
@@ -120,6 +127,62 @@ def test_incremental_refresh_reuses_untouched_components(component_model):
     # Only the touched component recomputed; the other two hit the cache.
     assert engine.stats["component_reconstructs"] == reconstructs_before + 1
     assert engine.stats["component_cache_hits"] >= 2
+
+
+def _dblp_time_split(seed: int, factor: int = 5):
+    """Source half and time-ordered target interactions of the dblp
+    spec with its node, interaction and community counts x ``factor``."""
+    config = DATASETS["dblp"].config
+    spec = dataclasses.replace(
+        config,
+        n_nodes=config.n_nodes * factor,
+        n_interactions=config.n_interactions * factor,
+        n_communities=config.n_communities * factor,
+    )
+    hypergraph, timestamps, _ = generate_group_hypergraph(spec, seed=seed)
+    source, target = split_source_target(hypergraph, timestamps=timestamps)
+    stream = sorted(
+        target.iter_multiset(),
+        key=lambda edge: (timestamps.get(edge, 0), sorted(edge)),
+    )
+    return source, stream
+
+
+def _sliding_window_edits(stream, size: int, steps: int):
+    """Edits of ``steps`` steps of a sliding window over ``stream``.
+
+    Each step adds +1 to every member pair of the next interaction and,
+    once ``size`` interactions are live, reweights each pair of the
+    oldest one down by one.  The stream wraps around at its end.
+    """
+    live: deque = deque()
+    weights = {}
+    edits = []
+    for members in islice(cycle(stream), steps):
+        members = sorted(members)
+        for u, v in combinations(members, 2):
+            weights[u, v] = weights.get((u, v), 0) + 1
+            edits.append(["add_edge", u, v, 1])
+        live.append(members)
+        if len(live) > size:
+            for u, v in combinations(live.popleft(), 2):
+                weights[u, v] -= 1
+                edits.append(["reweight", u, v, weights[u, v]])
+    return edits
+
+
+def test_near_tie_in_sliding_window_keeps_parity():
+    """Regression: dblp x5, a 400-interaction window, seed 22, 216 steps
+    past the preload.  While a clique's score depended on which other
+    cliques shared its batch, the per-component refresh diverged here
+    from one-shot reconstruct() of the whole graph."""
+    _, stream = _dblp_time_split(seed=22)
+    model = MARIOH(seed=0, phase2_scope="component")
+    model.fit(_dblp_time_split(seed=0)[0])
+    edits = _sliding_window_edits(stream, size=400, steps=400 + 216)
+    engine = StreamingReconstructor(model)
+    engine.apply(edits)
+    assert engine.digest() == one_shot_digest(model, edits)
 
 
 # ---------------------------------------------------------------------------
