@@ -409,8 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--batch-linger-ms", type=float, default=2.0,
         help="milliseconds the engine waits after the first in-flight "
-        "request so concurrent requests coalesce into one batch "
-        "(default 2.0; 0 disables)",
+        "request so concurrent requests coalesce into one batch; taken "
+        "only while more than one client is connected (default 2.0; 0 "
+        "disables)",
     )
     return parser
 

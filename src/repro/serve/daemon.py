@@ -6,10 +6,11 @@ access to it through a single *engine thread*.  Per-connection reader
 threads parse request lines and push them onto one FIFO queue; the
 engine thread drains **everything in flight** into one batch per pass
 (after an optional linger window that lets concurrent requests pile
-up), so N clients hammering queries between edits share one refresh -
-one vectorized pass through ``featurize_many`` and the batched MHH
-kernels - instead of N.  Ordering stays per-connection FIFO because
-the queue is FIFO and only the engine thread writes responses.
+up, taken only while more than one client is connected), so N clients
+hammering queries between edits share one refresh - one vectorized
+pass through ``featurize_many`` and the batched MHH kernels - instead
+of N.  Ordering stays per-connection FIFO because the queue is FIFO
+and only the engine thread writes responses.
 
 Durability: with ``--checkpoint`` the daemon writes sha256-verified
 checkpoints through :class:`~repro.resilience.checkpoint.CheckpointStore`
@@ -117,8 +118,10 @@ class ReconstructionServer:
         Seconds the engine thread waits after dequeuing the first
         request of a batch before draining the rest - the knob that
         trades a bounded latency floor for coalescing under concurrent
-        load.  0 disables the wait (requests still coalesce whenever
-        they genuinely queue up).
+        load.  The wait is taken only while more than one connection is
+        open, since it can only pull in other clients' requests.  0
+        disables it (requests still coalesce whenever they genuinely
+        queue up).
     """
 
     def __init__(
@@ -404,8 +407,12 @@ class ReconstructionServer:
                 first = self._queue.get(timeout=0.25)
             except queue.Empty:
                 continue
-            if self.batch_linger:
-                # Let concurrently in-flight requests land in this batch.
+            with self._conn_lock:
+                peers = len(self._connections) > 1
+            if self.batch_linger and peers:
+                # Let other clients' in-flight requests land in this
+                # batch.  A lone client's pipelined requests are queued
+                # already and drain below without the wait.
                 time.sleep(self.batch_linger)
             batch = [first]
             while True:
@@ -485,19 +492,17 @@ class ReconstructionServer:
         self.stats["queries_total"] += 1
         reconstruction = self.engine.reconstruction()
         nodes = request.get("nodes")
-        if nodes is None:
-            wanted = None
-        else:
+        items = reconstruction.items()
+        if nodes is not None:
             if not isinstance(nodes, list):
                 raise ValueError("query 'nodes' must be a list")
             wanted = {int(node) for node in nodes}
+            items = [item for item in items if not wanted.isdisjoint(item[0])]
         edges = [
             [sorted(edge), multiplicity]
             for edge, multiplicity in sorted(
-                reconstruction.items(),
-                key=lambda item: (len(item[0]), sorted(item[0])),
+                items, key=lambda item: (len(item[0]), sorted(item[0]))
             )
-            if wanted is None or not wanted.isdisjoint(edge)
         ]
         return (
             ok_response("query", request, edges=edges, n_edges=len(edges)),

@@ -14,14 +14,19 @@ current graph.  Three existing mechanisms make that cheap:
 2. **Component decomposability.**  With ``phase2_scope="component"``
    the reconstruction of a graph is exactly the disjoint union of the
    reconstructions of its connected components (the sharded-parity
-   property).  The engine therefore caches reconstructed edge lists
-   per component, keyed by a content digest of the component's edges:
-   an edit dirties only the components of its endpoints, and a refresh
-   re-reconstructs exactly those, serving every untouched component
-   from cache.  Models with ``phase2_scope="global"`` still work - the
-   whole graph is treated as one "component" (a full recompute per
-   distinct graph state), trading incrementality for the paper's exact
-   quota rule.
+   property).  :meth:`StreamingReconstructor.apply` records the
+   endpoints each edit touched, and a refresh re-derives only the
+   components that hold such a *dirty* node - patching a copy of the
+   previous result, so no other component is walked, digested or
+   re-added.  A re-derived component's edge list comes from an LRU
+   keyed by a content digest of its edges, so a component that recurs
+   across refreshes is not reconstructed again.  With no previous
+   result, after an invariant rebuild, or when something wrote into
+   :attr:`~StreamingReconstructor.graph` other than ``apply()``, the
+   refresh falls back to a full pass over every component.  Models
+   with ``phase2_scope="global"`` still work - the whole graph is
+   treated as one "component" (a full recompute per distinct graph
+   state), trading incrementality for the paper's exact quota rule.
 3. **Engine degradation.**  Each per-component reconstruction runs the
    incremental :class:`~repro.core.pool.CliqueCandidatePool` engine
    under MARIOH's per-iteration ``check_invariants`` audit; a violation
@@ -147,30 +152,16 @@ def component_digest(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _components(graph: WeightedGraph) -> List[List[Node]]:
-    """Connected components over non-isolated nodes, deterministically.
-
-    Components are discovered by BFS from ascending node ids and listed
-    by their smallest member, so the iteration order is a pure function
-    of the graph content.
-    """
-    seen: set = set()
-    components: List[List[Node]] = []
-    for start in sorted(graph.nodes):
-        if start in seen or graph.degree(start) == 0:
-            continue
-        frontier = [start]
-        seen.add(start)
-        members = []
-        while frontier:
-            node = frontier.pop()
-            members.append(node)
-            for neighbor in graph.neighbors(node):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    frontier.append(neighbor)
-        components.append(sorted(members))
-    return components
+def _component_members(graph: WeightedGraph, start: Node) -> List[Node]:
+    """Sorted members of the connected component that holds ``start``."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for neighbor in graph.neighbors(frontier.pop()):
+            if neighbor not in seen:
+                seen.add(neighbor)
+                frontier.append(neighbor)
+    return sorted(seen)
 
 
 class StreamingReconstructor:
@@ -224,6 +215,17 @@ class StreamingReconstructor:
         self._cache: "OrderedDict[str, List[Tuple[List[Node], int]]]" = (
             OrderedDict()
         )
+        #: smallest member -> (sorted members, canonical edge list) of
+        #: every component in :attr:`_result`, and node -> that key.
+        self._components: Dict[
+            Node, Tuple[List[Node], List[Tuple[List[Node], int]]]
+        ] = {}
+        self._component_of: Dict[Node, Node] = {}
+        #: nodes an edit touched since the last refresh, and the graph
+        #: version the last apply() or refresh left; any other version
+        #: means the graph was written behind apply()'s back.
+        self._dirty: set = set()
+        self._applied_version: int = self.graph.version
         self._result: Optional[Hypergraph] = None
         self._result_version: int = -1
         self.stats: Dict[str, int] = {
@@ -250,14 +252,22 @@ class StreamingReconstructor:
         through :func:`apply_edit`.  The memoized reconstruction is
         invalidated lazily - nothing is recomputed until the next
         :meth:`reconstruction` call, so bursts of edits between queries
-        cost exactly one refresh.
+        cost exactly one refresh.  The endpoints of every edit that
+        changed the graph (and so are both in it) become dirty.
         """
         normalized = [normalize_edit(edit) for edit in edits]
         counters = {"add_edge": "edits_add", "remove_edge": "edits_remove",
                     "reweight": "edits_reweight"}
+        graph = self.graph
+        tracked = graph.version == self._applied_version
         for edit in normalized:
-            apply_edit(self.graph, edit)
+            before = graph.version
+            apply_edit(graph, edit)
+            if graph.version != before:
+                self._dirty.update(edit[1:3])
             self.stats[counters[edit[0]]] += 1
+        if tracked:
+            self._applied_version = graph.version
         self.stats["edits_applied"] += len(normalized)
         return len(normalized)
 
@@ -269,29 +279,68 @@ class StreamingReconstructor:
 
         Byte-identical to ``model.reconstruct()`` on an identical
         graph.  Clean calls (no edits since the last refresh) return
-        the memoized hypergraph without touching the model.
+        the memoized hypergraph without touching the model.  A
+        hypergraph once returned is never mutated: a refresh patches a
+        copy of it.
         """
-        if (
-            self._result is not None
-            and self._result_version == self.graph.version
-        ):
+        graph = self.graph
+        if self._result is not None and self._result_version == graph.version:
             return self._result
         self.stats["refresh_passes"] += 1
-        result = Hypergraph(nodes=self.graph.nodes)
-        if self.incremental:
-            for members in _components(self.graph):
-                for edge_members, multiplicity in self._component_edges(
-                    members
-                ):
-                    result.add(edge_members, multiplicity)
-        elif not self.graph.is_empty():
-            # Global Phase-2 quota couples components, so the only
-            # exact refresh is a whole-graph recompute (still memoized
-            # per graph version, so repeated queries stay O(1)).
-            self.stats["full_recomputes"] += 1
-            result = self._reconstruct_subgraph(self.graph)
+        if not self.incremental:
+            result = Hypergraph(nodes=graph.nodes)
+            if not graph.is_empty():
+                # Global Phase-2 quota couples components, so the only
+                # exact refresh is a whole-graph recompute (still
+                # memoized per graph version, so repeated queries stay
+                # O(1)).
+                self.stats["full_recomputes"] += 1
+                result = self._reconstruct_subgraph(graph)
+        elif self._result is None or self._applied_version != graph.version:
+            # Nothing to patch, or edits the dirty set never saw: derive
+            # every component.
+            self._components.clear()
+            self._component_of.clear()
+            result = self._patch(Hypergraph(), graph.nodes)
+        else:
+            result = self._patch(self._result.copy(), self._dirty)
+        self._dirty = set()
         self._result = result
-        self._result_version = self.graph.version
+        self._result_version = self._applied_version = graph.version
+        return result
+
+    def _patch(self, result: Hypergraph, dirty: Iterable[Node]) -> Hypergraph:
+        """Replace, in ``result``, every component holding a dirty node.
+
+        Exact because a component with no dirty node kept every edge of
+        every member, so it is still a whole component of the graph; and
+        every component that changed - each piece of a split, every
+        merge, every new one - holds a dirty node.  Clean components
+        are counted as cache hits, so hits plus reconstructs per pass
+        equal the number of components.
+        """
+        components, component_of = self._components, self._component_of
+        stale = {component_of[node] for node in dirty if node in component_of}
+        for key in stale:
+            members, edges = components.pop(key)
+            for node in members:
+                del component_of[node]
+            for edge_members, multiplicity in edges:
+                result.remove(edge_members, multiplicity)
+        derived = 0
+        for start in sorted(dirty):
+            result.add_node(start)
+            if start in component_of or self.graph.degree(start) == 0:
+                continue
+            members = _component_members(self.graph, start)
+            edges = self._component_edges(members)
+            components[members[0]] = (members, edges)
+            for node in members:
+                component_of[node] = members[0]
+            for edge_members, multiplicity in edges:
+                result.add(edge_members, multiplicity)
+            derived += 1
+        self.stats["component_cache_hits"] += len(components) - derived
         return result
 
     def digest(self) -> str:
@@ -338,8 +387,8 @@ class StreamingReconstructor:
         MARIOH's per-iteration engine degradation uses).  On violation
         the live graph is rebuilt from its edge list - discarding the
         possibly-corrupt snapshot and every derived cache - and the
-        component memo is dropped, so the next refresh re-derives
-        everything from clean state.  Returns the violation description
+        component memo is dropped, so the next refresh is a full pass
+        from clean state.  Returns the violation description
         (after recovering) or ``None``.
         """
         violation = self.graph.check_snapshot_coherence()

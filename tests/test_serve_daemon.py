@@ -150,6 +150,25 @@ def test_pipelined_responses_keep_fifo_order(server):
         assert all(r["ok"] for r in responses)
 
 
+def test_lone_client_does_not_wait_for_the_batch_linger(model):
+    """The linger only lets other clients' requests join a batch, so
+    one connection's round trips never pay it."""
+    instance = ReconstructionServer(
+        StreamingReconstructor(model), batch_linger=1.0
+    )
+    instance.start()
+    try:
+        with connect(instance) as client:
+            started = time.monotonic()
+            for base in (0, 10, 20):
+                assert client.apply([["add_edge", base, base + 1]])["ok"]
+                assert client.query(nodes=[base])["n_edges"] == 1
+            elapsed = time.monotonic() - started
+    finally:
+        instance.close()
+    assert elapsed < 1.0
+
+
 def test_shutdown_drains_pipelined_requests(server):
     with connect(server) as client:
         client.send({"op": "apply", "id": 0, "edits": [["add_edge", 4, 5]]})

@@ -208,6 +208,45 @@ class TestShardedReconstruction:
         assert sharded == unsharded
         assert hypergraph_digest(sharded) == hypergraph_digest(unsharded)
 
+    def test_planted_ties_match_unsharded(self, fitted_model_and_graph):
+        """Isomorphic copies of one component tie exactly, and copies
+        with one pair weight bumped tie nearly.  However the copies are
+        packed into shards, sharded output equals unsharded output, and
+        the exact copies reconstruct identically."""
+        model, _ = fitted_model_and_graph
+        base = project(Hypergraph([
+            [0, 1, 2], [0, 1, 2], [1, 2, 3], [2, 3, 4, 5], [0, 5], [3, 4],
+            [3, 4], [4, 5, 6], [5, 6, 7], [6, 7],
+        ]))
+        pairs = sorted(base.edges())
+        graph = WeightedGraph()
+        for copy in range(10):
+            bumped = pairs[copy - 6] if copy >= 6 else None
+            for u, v, weight in base.edges_with_weights():
+                graph.add_edge(
+                    u + 10 * copy, v + 10 * copy, weight + ((u, v) == bumped)
+                )
+        unsharded = model.reconstruct(graph)
+        shapes = {
+            frozenset(
+                (frozenset(node - 10 * copy for node in edge), multiplicity)
+                for edge, multiplicity in unsharded.induced_subhypergraph(
+                    range(10 * copy, 10 * copy + 10)
+                ).items()
+            )
+            for copy in range(6)
+        }
+        assert len(shapes) == 1
+        for copies_per_shard in (1, 2, 3):
+            sharded = model.reconstruct(
+                graph,
+                sharding=ShardingConfig(
+                    max_shard_edges=copies_per_shard * base.num_edges
+                ),
+            )
+            assert model.shard_stats_["boundary_edges"] == 0
+            assert hypergraph_digest(sharded) == hypergraph_digest(unsharded)
+
     def test_worker_counts_are_byte_identical(self, fitted_model_and_graph):
         model, graph = fitted_model_and_graph
         digests = {}
