@@ -21,27 +21,31 @@ is the hot path and computes the whole batch with numpy kernels: one
 table of *unique* node pairs per batch, edge weights / MHH (Eq. 1) /
 Jaccard overlaps looked up against the graph's CSR snapshot, grouped
 ``reduceat`` reductions for the 5-stat summaries, and maximality checks
-against the reference graph's cached neighbor sets.  Parity between the
-two paths is covered by property tests (``tests/test_featurizer_parity``).
+against the reference graph's live adjacency, memoized per clique.
+Parity between the two paths is covered by property tests
+(``tests/test_featurizer_parity``).
 
 On top of the batch kernels sits a **feature-row cache**
-(:class:`_RowCachedFeaturizer`): each computed row is memoized under the
-clique's frozenset keyed by ``(max touch_version over its members,
-structure stamps)``.  Every feature derived from the scoring graph's
-weights depends only on edges incident to a clique member, so a row is
-stale exactly when one of its members was touched by a mutation - the
-reconstruction loop therefore only re-featurizes cliques whose nodes
-actually changed between iterations, and untouched cliques resolve to a
-dictionary lookup.  Cached and freshly-computed rows are bit-identical
-because every per-clique quantity is computed independently of the rest
-of the batch (also property-tested).
+(:class:`_RowCachedFeaturizer`): each computed row is stored under the
+clique's frozenset, with a node -> cached-cliques index beside it.
+Every feature derived from the scoring graph's weights depends only on
+edges incident to a clique member, so a row is stale exactly when one
+of its members was touched by a mutation.  Each call therefore asks
+the graph which nodes were touched since the previous call
+(:meth:`~repro.hypergraph.graph.WeightedGraph.touched_since`) and drops
+the rows through them: the reconstruction loop only re-featurizes
+cliques whose nodes actually changed between iterations, and an
+untouched clique resolves to one dictionary get.  Cached and
+freshly-computed rows are bit-identical because every per-clique
+quantity is computed independently of the rest of the batch (also
+property-tested).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -203,12 +207,10 @@ def _maximality_flags(
 
     ``reference`` is immutable for the duration of a scoring batch (and,
     in the reconstruction loop, for the whole ``reconstruct()`` call),
-    so its cached neighbor sets are shared across every check and the
-    per-clique verdicts are memoized until the graph next mutates -
-    candidates that survive across search iterations are re-scored many
-    times but resolve their flag once.
+    so the per-clique verdicts are memoized until the graph next
+    mutates structurally - candidates that survive across search
+    iterations are re-scored many times but resolve their flag once.
     """
-    reference.neighbor_sets()  # build the cache once, outside the loop
     memo = reference.maximality_memo()
     flags = np.zeros(len(members_list), dtype=np.float64)
     for i, members in enumerate(members_list):
@@ -293,15 +295,19 @@ def _boundary_counts(batch: _CliqueBatch) -> np.ndarray:
 class _RowCachedFeaturizer:
     """Feature-row cache shared by every batch featurizer.
 
-    Entries map a frozenset clique to ``(stamp, row)`` where ``stamp``
-    is ``(graph.clique_touch_stamp(clique), *extra)`` captured at
-    computation time - ``extra`` is the per-class tuple of structure
-    stamps from :meth:`_cache_stamp_extra`.  A lookup hits only when the
-    stamp is unchanged, i.e. no mutation has touched any member node
-    (and no structural mutation has invalidated the structure-dependent
-    columns).  The cache is scoped to one ``(graph, reference)`` pair
-    via their ``uid``s and resets whenever the featurizer is pointed at
-    different graphs.
+    Entries map a frozenset clique to its row; a node -> cached-cliques
+    index sits beside them.  Each call records ``(graph.version,
+    reference.version, extra)`` - ``extra`` being the per-class tuple
+    of structure stamps from :meth:`_cache_stamp_extra`.  On the next
+    call, every cached clique through a node the scoring graph reports
+    as :meth:`~repro.hypergraph.graph.WeightedGraph.touched_since` the
+    recorded version is dropped (and the same on the reference graph
+    when it is a distinct object); a changed ``extra`` drops every
+    row.  A lookup then hits exactly when no mutation has touched a
+    member since the row was computed, and a hit is one dict get.  The
+    cache is scoped to one ``(graph, reference)`` pair via their
+    ``uid``s and resets whenever the featurizer is pointed at different
+    graphs.
 
     Rows flow through untouched numerically: a cache hit returns the
     exact float64 row the batch kernel produced, so cached and uncached
@@ -321,8 +327,10 @@ class _RowCachedFeaturizer:
     row_cache_limit = 200_000
 
     def __init__(self) -> None:
-        self._row_cache: Dict[Clique, Tuple[tuple, np.ndarray]] = {}
+        self._row_cache: Dict[Clique, np.ndarray] = {}
+        self._rows_through: Dict[int, Set[Clique]] = {}
         self._row_cache_scope: Optional[Tuple[int, int]] = None
+        self._row_cache_seen: Optional[tuple] = None
         self.row_cache_hits = 0
         self.row_cache_misses = 0
 
@@ -330,12 +338,12 @@ class _RowCachedFeaturizer:
     def _cache_stamp_extra(
         self, graph: WeightedGraph, reference: WeightedGraph
     ) -> tuple:
-        """Extra stamps appended to every entry's invalidation key.
+        """Structure stamps whose change drops every cached row.
 
         Empty by default: every base feature - including the maximality
         indicator, since an extender vertex must be adjacent to a member
         - depends only on edges *incident to clique members*, which the
-        per-member touch stamps already cover (on both the scoring and
+        per-member touch feed already covers (on both the scoring and
         the reference graph).  Subclasses with features that reach
         beyond the members' incident edges (e.g. clustering
         coefficients, two hops out) must add a structure stamp here.
@@ -354,10 +362,15 @@ class _RowCachedFeaturizer:
     # -- cache machinery ----------------------------------------------
     def reset_row_cache(self) -> None:
         """Drop every cached row and zero the hit/miss counters."""
-        self._row_cache.clear()
+        self._clear_rows()
         self._row_cache_scope = None
         self.row_cache_hits = 0
         self.row_cache_misses = 0
+
+    def _clear_rows(self) -> None:
+        self._row_cache.clear()
+        self._rows_through.clear()
+        self._row_cache_seen = None
 
     def row_cache_stats(self) -> Dict[str, float]:
         """Lookup counters plus the derived hit rate.
@@ -373,6 +386,19 @@ class _RowCachedFeaturizer:
             "hit_rate": self.row_cache_hits / total if total else 0.0,
         }
 
+    def _drop_touched(self, graph: WeightedGraph, version: int) -> None:
+        """Drop every cached row through a node touched after ``version``."""
+        if graph.version == version:
+            return
+        cache = self._row_cache
+        through = self._rows_through
+        for node in graph.touched_since(version):
+            for clique in through.pop(node, ()):
+                del cache[clique]
+                for member in clique:
+                    if member != node:
+                        through[member].discard(clique)
+
     def _cached_featurize_many(
         self,
         cliques: Sequence[Clique],
@@ -387,43 +413,42 @@ class _RowCachedFeaturizer:
         """
         reference = reference_graph if reference_graph is not None else graph
         scope = (graph.uid, reference.uid)
-        if scope != self._row_cache_scope:
-            self._row_cache.clear()
-            self._row_cache_scope = scope
         extra = self._cache_stamp_extra(graph, reference)
+        seen = self._row_cache_seen
+        if scope != self._row_cache_scope or seen is None or seen[2] != extra:
+            self._clear_rows()
+            self._row_cache_scope = scope
+        else:
+            self._drop_touched(graph, seen[0])
+            if reference is not graph:
+                self._drop_touched(reference, seen[1])
+        self._row_cache_seen = (graph.version, reference.version, extra)
         cache = self._row_cache
-        distinct_reference = reference is not graph
         rows: List[Optional[np.ndarray]] = [None] * len(cliques)
-        stamps: List[Optional[tuple]] = [None] * len(cliques)
         misses: List[int] = []
         for i, clique in enumerate(cliques):
-            if isinstance(clique, frozenset):
-                # Member touches on the scoring graph cover every
-                # weight/structure feature; touches on a distinct
-                # reference graph cover the maximality indicator.
-                stamp = (graph.clique_touch_stamp(clique),)
-                if distinct_reference:
-                    stamp += (reference.clique_touch_stamp(clique),)
-                stamp += extra
-                stamps[i] = stamp
-                entry = cache.get(clique)
-                if entry is not None and entry[0] == stamp:
-                    rows[i] = entry[1]
-                    self.row_cache_hits += 1
-                    continue
-            misses.append(i)
+            row = cache.get(clique) if isinstance(clique, frozenset) else None
+            if row is None:
+                misses.append(i)
+            else:
+                rows[i] = row
+        self.row_cache_hits += len(cliques) - len(misses)
         self.row_cache_misses += len(misses)
         if misses:
             computed = self._compute_rows(
                 [cliques[i] for i in misses], graph, reference
             )
+            through = self._rows_through
             for j, i in enumerate(misses):
                 # Copy so the cache entry owns its 8*n_features bytes
                 # instead of being a view pinning the whole miss batch.
                 row = computed[j].copy()
                 rows[i] = row
-                if stamps[i] is not None:
-                    cache[cliques[i]] = (stamps[i], row)
+                clique = cliques[i]
+                if isinstance(clique, frozenset):
+                    cache[clique] = row
+                    for node in clique:
+                        through.setdefault(node, set()).add(clique)
             if len(cache) > self.row_cache_limit:
                 self._evict()
         return np.vstack(rows)
@@ -432,6 +457,10 @@ class _RowCachedFeaturizer:
         """Keep the most recently inserted half of the cache."""
         keep = max(1, self.row_cache_limit // 2)
         items = list(self._row_cache.items())
+        through = self._rows_through
+        for clique, _ in items[:-keep]:
+            for node in clique:
+                through[node].discard(clique)
         self._row_cache = dict(items[-keep:])
 
 

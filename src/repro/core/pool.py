@@ -14,12 +14,17 @@ cliques up to date under edge *removals* using two facts:
    disqualified by losing an edge into the clique.
 
 So after removals it suffices to (a) discard cliques containing a
-removed pair and (b) re-enumerate cliques inside the closed
-neighborhoods of removed-edge endpoints, keeping those that contain an
-endpoint and are maximal in the full graph.  Step (a) uses an inverted
-node -> cliques index, so it touches only the cliques through a removed
-endpoint instead of scanning the whole clique set, and the sorted view
-served to the search loop is cached between changes.  The
+removed pair and (b) enumerate the maximal cliques through a
+removed-edge endpoint, adding the ones not pooled yet.  Step (a) uses
+an inverted node -> cliques index, so it touches only the cliques
+through a removed endpoint instead of scanning the whole clique set.
+Step (b) is anchored Bron-Kerbosch
+(:func:`~repro.hypergraph.cliques.maximal_cliques_through`) on the live
+graph: each clique is found once, at its smallest endpoint, and is
+maximal in the whole graph by construction, so no subgraph is built and
+no clique is re-checked.  The clique set is a set whose sorted view -
+cached between changes - is what the search loop iterates, so the order
+in which step (b) finds cliques cannot reach the output.  The
 ``engine="rescan"`` mode of :class:`~repro.core.marioh.MARIOH` remains
 the reference implementation; equivalence is covered by tests.
 """
@@ -32,6 +37,7 @@ from repro.hypergraph.cliques import (
     Clique,
     is_maximal_clique,
     maximal_cliques,
+    maximal_cliques_through,
 )
 from repro.hypergraph.graph import Node, WeightedGraph
 
@@ -128,10 +134,6 @@ class CliqueCandidatePool:
                 "a structural mutation bypassed notify_edges_removed"
             )
         self._synced_structure_version = actual
-        endpoints: Set[Node] = set()
-        for pair in removed:
-            endpoints.update(pair)
-
         # (a) Broken cliques: any clique containing a removed pair.  The
         # inverted index narrows the scan to cliques through a removed
         # endpoint; a clique lies in by_node[u] & by_node[v] exactly
@@ -147,20 +149,10 @@ class CliqueCandidatePool:
             self._cliques.discard(clique)
             self._index_discard(clique)
 
-        # (b) Newly maximal cliques all contain a removed-edge endpoint,
-        # and any clique through a vertex lives inside its closed
-        # neighborhood - so the induced subgraph on those closed
-        # neighborhoods sees every candidate.
-        region: Set[Node] = set(endpoints)
-        for node in endpoints:
-            region.update(self._graph.neighbors(node))
-        subgraph = self._graph.subgraph(region)
-        for clique in maximal_cliques(subgraph):
-            if not (clique & endpoints):
-                continue
-            if clique in self._cliques:
-                continue
-            if is_maximal_clique(self._graph, clique):
+        # (b) Newly maximal cliques all contain a removed-edge endpoint.
+        endpoints = {node for pair in removed for node in pair}
+        for clique in maximal_cliques_through(self._graph, endpoints):
+            if clique not in self._cliques:
                 self._cliques.add(clique)
                 self._index_add(clique)
                 changed = True

@@ -10,7 +10,15 @@ limit.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Set
+from typing import (
+    Callable,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+)
 
 from repro.hypergraph.graph import Node, WeightedGraph
 
@@ -37,37 +45,31 @@ def _pivot(candidates: Set[Node], excluded: Set[Node], adj) -> Node:
     return best  # type: ignore[return-value]
 
 
-def maximal_cliques(graph: WeightedGraph) -> Iterator[Clique]:
-    """Yield every maximal clique of ``graph`` as a frozenset.
+def _bron_kerbosch(
+    r: Set[Node], p: Set[Node], x: Set[Node], adj: Callable
+) -> Iterator[Clique]:
+    """Maximal cliques ``R ∪ C`` with ``C ⊆ P``, excluding those ``X``
+    extends; only cliques of two or more nodes are reported.
 
-    Isolated nodes are *not* reported (a clique needs at least one edge to
-    matter for reconstruction); single edges are reported as size-2
-    cliques when maximal.
+    ``adj(u)`` returns ``u``'s neighbors as a set or a dict-keys view;
+    the algorithm never mutates it.
     """
-    # The graph caches its neighbor sets (invalidated on mutation), so
-    # repeated enumerations between mutations share one snapshot.  The
-    # algorithm never mutates these sets.
-    neighbor_sets = graph.neighbor_sets()
-
-    def adj(u: Node) -> Set[Node]:
-        return neighbor_sets[u]
-
-    # Each stack frame is (R, P, X, iterator over pivot-excluded vertices).
-    start_p = {u for u, nbrs in neighbor_sets.items() if nbrs}
-    if not start_p:
+    if not p:
+        if not x and len(r) >= 2:
+            yield frozenset(r)
         return
-    pivot = _pivot(start_p, set(), adj)
-    stack: List = [
-        (set(), start_p, set(), iter(list(start_p - neighbor_sets[pivot])))
-    ]
+    # Each stack frame is (R, P, X, iterator over pivot-excluded vertices).
+    pivot = _pivot(p, x, adj)
+    stack: List = [(r, p, x, iter(list(p - adj(pivot))))]
     while stack:
         r, p, x, vertices = stack[-1]
         advanced = False
         for v in vertices:
             if v not in p:
                 continue
-            new_p = p & neighbor_sets[v]
-            new_x = x & neighbor_sets[v]
+            neighbors = adj(v)
+            new_p = p & neighbors
+            new_x = x & neighbors
             p.discard(v)
             x.add(v)
             new_r = r | {v}
@@ -83,7 +85,7 @@ def maximal_cliques(graph: WeightedGraph) -> Iterator[Clique]:
                     new_r,
                     new_p,
                     new_x,
-                    iter(list(new_p - neighbor_sets[new_pivot])),
+                    iter(list(new_p - adj(new_pivot))),
                 )
             )
             advanced = True
@@ -92,39 +94,79 @@ def maximal_cliques(graph: WeightedGraph) -> Iterator[Clique]:
             stack.pop()
 
 
+def maximal_cliques(graph: WeightedGraph) -> Iterator[Clique]:
+    """Yield every maximal clique of ``graph`` as a frozenset.
+
+    Isolated nodes are *not* reported (a clique needs at least one edge to
+    matter for reconstruction); single edges are reported as size-2
+    cliques when maximal.
+    """
+    # The graph caches its neighbor sets (invalidated on mutation), so
+    # repeated enumerations between mutations share one snapshot.
+    neighbor_sets = graph.neighbor_sets()
+    start_p = {u for u, nbrs in neighbor_sets.items() if nbrs}
+    yield from _bron_kerbosch(set(), start_p, set(), neighbor_sets.__getitem__)
+
+
+def maximal_cliques_through(
+    graph: WeightedGraph, anchors: Iterable[Node]
+) -> Iterator[Clique]:
+    """Yield each maximal clique of ``graph`` holding an anchor, once.
+
+    Anchored enumeration (Das, Svendsen & Tirthapura, "Incremental
+    maintenance of maximal cliques in a dynamic graph", VLDB Journal
+    2019): for each anchor ``a`` in sorted order, Bron-Kerbosch starts
+    from ``R = {a}``, ``P = N(a)`` minus the earlier anchors and
+    ``X`` = the earlier anchors in ``N(a)``, so a clique is reported at
+    its smallest anchor only.  Reads live adjacency: no neighbor-set
+    cache or subgraph is built, so the cost follows the anchors'
+    neighborhoods, not the graph.
+    """
+    neighbor_weights = graph.neighbor_weights
+
+    def adj(u: Node):
+        return neighbor_weights(u).keys()
+
+    earlier: Set[Node] = set()
+    for anchor in sorted(set(anchors)):
+        neighbors = set(adj(anchor))
+        yield from _bron_kerbosch(
+            {anchor}, neighbors - earlier, neighbors & earlier, adj
+        )
+        earlier.add(anchor)
+
+
 def maximal_cliques_list(graph: WeightedGraph) -> List[Clique]:
     """Materialized :func:`maximal_cliques`, sorted for determinism."""
     return sorted(maximal_cliques(graph), key=lambda c: (len(c), sorted(c)))
 
 
-_EMPTY_SET: Set[Node] = set()
-
-
 def is_maximal_clique(graph: WeightedGraph, nodes: Iterable[Node]) -> bool:
     """True iff ``nodes`` is a clique no neighbor can extend.
 
-    Works off the graph's cached neighbor sets, so batched maximality
-    checks (every candidate of a scoring round) share one snapshot.
+    Reads live adjacency (the keys of each member's
+    :meth:`~repro.hypergraph.graph.WeightedGraph.neighbor_weights`), so
+    a check costs O(members' degrees) and never makes the graph build
+    or rebuild a whole-graph neighbor-set cache.
     """
     members = list(dict.fromkeys(nodes))
-    neighbor_sets = graph.neighbor_sets()
     needed = len(members) - 1
-    member_sets = []
+    member_keys = []
     for u in members:
-        adjacent = neighbor_sets.get(u, _EMPTY_SET)
+        adjacent = graph.neighbor_weights(u)
         if len(adjacent) < needed:
             return False  # cannot be adjacent to every other member
-        member_sets.append(adjacent)
-    for i, u_set in enumerate(member_sets):
+        member_keys.append(adjacent.keys())
+    for i, u_keys in enumerate(member_keys):
         for v in members[i + 1 :]:
-            if v not in u_set:
+            if v not in u_keys:
                 return False
     # A clique is maximal iff no outside vertex is adjacent to all
     # members; such a vertex lies in the intersection of every member's
-    # neighbor set (which never contains a member itself).
+    # neighborhood (which never contains a member itself).
     common: Optional[Set[Node]] = None
-    for adjacent in member_sets:
-        common = set(adjacent) if common is None else common & adjacent
+    for keys in member_keys:
+        common = set(keys) if common is None else common & keys
         if not common:
             return True
     return not common

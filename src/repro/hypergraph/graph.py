@@ -32,11 +32,17 @@ Mutations are classified into two kinds with different cache behavior:
   a periodic tombstone-compaction pass fall back to a full rebuild;
   :meth:`WeightedGraph.snapshot_patch_stats` counts each outcome.
 
-The per-node ``touch_version`` array is the invalidation key of the
-featurizers' feature-row cache (:mod:`repro.core.features`): a clique's
-cached feature row stays valid while ``max(touch_version)`` over its
-members is unchanged, so each reconstruction iteration only
-re-featurizes cliques whose nodes were actually touched.
+Every mutation stamps the nodes it touches with the new ``version``
+(``touch_version``).  The stamps are kept in touch order - a re-touched
+node moves to the newest end - so :meth:`WeightedGraph.touched_since`
+lists the nodes touched after a given version in O(nodes touched).
+That list is the featurizers' row-cache invalidation feed
+(:mod:`repro.core.features`): each reconstruction iteration drops and
+re-featurizes only the cliques through a touched node.
+
+A clique conversion (:meth:`WeightedGraph.decrement_clique`) walks its
+pairs once, updating the dicts and counters inline and tombstoning all
+of its vanished pairs in one snapshot patch.
 """
 
 from __future__ import annotations
@@ -44,7 +50,17 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -56,6 +72,14 @@ _EMPTY_SET: FrozenSet[Node] = frozenset()
 #: cache keys on ``graph.uid`` so that a recycled ``id()`` can never
 #: alias two different graphs.
 _UID_COUNTER = itertools.count()
+
+#: Snapshot patch batches up to these many pairs are applied one pair at
+#: a time: below them, numpy's fixed cost of assembling index arrays
+#: outweighs the scalar binary searches per pair.  Measured on the eu
+#: and chained-clique reconstructions (queued weight patches, and the
+#: vanished pairs of one clique conversion).
+_SCALAR_PATCH_MAX = 16
+_SCALAR_TOMBSTONE_MAX = 8
 
 
 def _ordered(u: Node, v: Node) -> Tuple[Node, Node]:
@@ -240,6 +264,39 @@ class GraphSnapshot:
         self.weighted_degrees[iv] -= weight
         object.__setattr__(self, "n_live", self.n_live - 2)
         object.__setattr__(self, "n_tombstones", self.n_tombstones + 2)
+        object.__setattr__(self, "version", version)
+        return True
+
+    def _patch_delete_many(
+        self, pairs: List[Tuple[int, int]], version: int
+    ) -> bool:
+        """Tombstone many *distinct* live edges in one vectorized pass.
+
+        Equivalent to :meth:`_patch_delete` per pair: each pair's stored
+        weight leaves both endpoints' weighted degrees (integer-valued,
+        so the grouped sums are exact in any order).  Returns False -
+        snapshot untouched - when any slot is missing or dead.
+        """
+        n = len(self.keys)
+        if n == 0:
+            return False
+        rows = np.asarray(pairs, dtype=np.int64)
+        iu = rows[:, 0]
+        iv = rows[:, 1]
+        search = np.concatenate([iu * self.key_base + iv,
+                                 iv * self.key_base + iu])
+        pos = np.minimum(np.searchsorted(self.keys, search), n - 1)
+        if not ((self.keys[pos] == search) & self.alive[pos]).all():
+            return False
+        m = len(iu)
+        weights = self.wts[pos[:m]]
+        self.alive[pos] = False
+        self.wts[pos] = 0.0
+        ends = np.concatenate([iu, iv])
+        np.subtract.at(self.degrees, ends, 1)
+        np.subtract.at(self.weighted_degrees, ends, np.tile(weights, 2))
+        object.__setattr__(self, "n_live", self.n_live - 2 * m)
+        object.__setattr__(self, "n_tombstones", self.n_tombstones + 2 * m)
         object.__setattr__(self, "version", version)
         return True
 
@@ -478,42 +535,60 @@ class WeightedGraph:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def _bump(self, *touched: Node) -> None:
-        """Record a *structural* mutation touching ``touched`` nodes.
+    def _touch(self, u: Node, v: Node) -> None:
+        """Stamp both endpoints of one mutated pair with :attr:`version`.
 
-        Invalidates every derived view (snapshot, neighbor sets,
-        maximality memo) and stamps the touched nodes' touch versions.
+        A stamped node moves to the newest end of ``_touch_version``,
+        which keeps that dict in touch order for :meth:`touched_since`.
+        """
+        version = self._version
+        touch = self._touch_version
+        touch.pop(u, None)
+        touch[u] = version
+        touch.pop(v, None)
+        touch[v] = version
+        counts = self._touch_count
+        counts[u] = counts.get(u, 0) + 1
+        counts[v] = counts.get(v, 0) + 1
+
+    def _drop_snapshot(self) -> None:
+        self._snapshot_cache = None
+        self._pending_weight_patches.clear()
+
+    def _bump(self, node: Node) -> None:
+        """Record the insertion of ``node``.
+
+        Row indices shift wholesale, so the snapshot is dropped along
+        with every structure-dependent view.
         """
         self._version += 1
         self._structure_version += 1
-        for node in touched:
-            self._touch_version[node] = self._version
-            self._touch_count[node] = self._touch_count.get(node, 0) + 1
-        self._snapshot_cache = None
-        self._pending_weight_patches.clear()
+        # A new node goes to the newest end of the touch order.
+        self._touch_version[node] = self._version
+        self._touch_count[node] = 1
+        self._drop_snapshot()
         self._neighbor_sets_cache = None
         self._maximality_memo = None
 
-    def _bump_edge(self, u: Node, v: Node, weight: int, appeared: bool) -> None:
-        """Record a structural *edge* mutation (appear / vanish).
+    def _bump_insert(self, u: Node, v: Node, weight: int) -> None:
+        """Record the edge ``{u, v}`` appearing with ``weight``.
 
-        Like :meth:`_bump`, but instead of discarding the cached CSR
-        snapshot it patches it in place: a vanished edge is tombstoned
-        (:meth:`GraphSnapshot._patch_delete`), an appearing edge between
-        known nodes resurrects its tombstone or claims reserved slack
-        (:meth:`GraphSnapshot._patch_insert`).  The snapshot is only
-        dropped when the patch fails (slack exhausted, unknown node) or
-        when the tombstone-compaction threshold trips - both counted in
-        :meth:`snapshot_patch_stats` as misses so the reported hit rate
-        reflects actual rebuild work.  Structure-dependent caches
-        (neighbor sets, maximality memo) are always invalidated.
+        Instead of discarding the cached CSR snapshot this patches it in
+        place: the edge resurrects its tombstone or claims reserved
+        slack (:meth:`GraphSnapshot._patch_insert`).  No weight patch
+        can be queued for the pair - queued patches only ever name live
+        edges, and a vanishing edge drops its own - and other pairs'
+        queued patches are keyed by index pair, not slot position, so
+        they survive the slot shift an insert may cause.  The snapshot
+        is only dropped when the patch fails (slack exhausted, unknown
+        node), counted in :meth:`snapshot_patch_stats` as a miss so the
+        reported hit rate reflects actual rebuild work.
+        Structure-dependent caches (neighbor sets, maximality memo) are
+        always invalidated.
         """
         self._version += 1
         self._structure_version += 1
-        self._touch_version[u] = self._version
-        self._touch_version[v] = self._version
-        self._touch_count[u] = self._touch_count.get(u, 0) + 1
-        self._touch_count[v] = self._touch_count.get(v, 0) + 1
+        self._touch(u, v)
         self._neighbor_sets_cache = None
         self._maximality_memo = None
         snapshot = self._snapshot_cache
@@ -521,40 +596,15 @@ class WeightedGraph:
             return
         iu = snapshot.index.get(u)
         iv = snapshot.index.get(v)
-        patched = False
-        if iu is not None and iv is not None:
-            pending = self._pending_weight_patches
-            if pending:
-                # Structural patches read and rewrite *this pair's*
-                # weight slots, so its queued weight patch (if any) must
-                # land first.  Other pairs' entries are keyed by index
-                # pair - not slot position - so they survive the slot
-                # shifts an insert may cause and stay queued.
-                queued = pending.pop((iu, iv) if iu < iv else (iv, iu), None)
-                if queued is not None and not snapshot._patch_weight(
-                    iu, iv, queued, self._version
-                ):
-                    self._patch_stats["weight_misses"] += 1
-                    self._patch_stats["structural_misses"] += 1
-                    self._snapshot_cache = None
-                    pending.clear()
-                    return
-            if appeared:
-                patched = snapshot._patch_insert(iu, iv, weight, self._version)
-            else:
-                patched = snapshot._patch_delete(iu, iv, self._version)
-        stats = self._patch_stats
-        if not patched:
-            stats["structural_misses"] += 1
-            self._snapshot_cache = None
-            self._pending_weight_patches.clear()
-        elif self._should_compact(snapshot):
-            stats["compactions"] += 1
-            stats["structural_misses"] += 1
-            self._snapshot_cache = None
-            self._pending_weight_patches.clear()
+        if (
+            iu is not None
+            and iv is not None
+            and snapshot._patch_insert(iu, iv, weight, self._version)
+        ):
+            self._patch_stats["structural_hits"] += 1
         else:
-            stats["structural_hits"] += 1
+            self._patch_stats["structural_misses"] += 1
+            self._drop_snapshot()
 
     def _should_compact(self, snapshot: GraphSnapshot) -> bool:
         tombstones = snapshot.n_tombstones
@@ -574,10 +624,7 @@ class WeightedGraph:
         feature rows of unrelated cliques cache-valid.
         """
         self._version += 1
-        self._touch_version[u] = self._version
-        self._touch_version[v] = self._version
-        self._touch_count[u] = self._touch_count.get(u, 0) + 1
-        self._touch_count[v] = self._touch_count.get(v, 0) + 1
+        self._touch(u, v)
         snapshot = self._snapshot_cache
         if snapshot is None:
             return
@@ -585,8 +632,7 @@ class WeightedGraph:
         iv = snapshot.index.get(v)
         if iu is None or iv is None:
             self._patch_stats["weight_misses"] += 1
-            self._snapshot_cache = None
-            self._pending_weight_patches.clear()
+            self._drop_snapshot()
             return
         # Queue for the next lazy flush (snapshot read or structural
         # patch).  Last write per pair wins; the normalized key makes
@@ -622,7 +668,7 @@ class WeightedGraph:
         self._weighted_degree[u] += weight
         self._weighted_degree[v] += weight
         if structural:
-            self._bump_edge(u, v, current + weight, appeared=True)
+            self._bump_insert(u, v, current + weight)
         else:
             self._patch(u, v, current + weight)
 
@@ -646,7 +692,7 @@ class WeightedGraph:
         self._weighted_degree[u] += delta
         self._weighted_degree[v] += delta
         if structural:
-            self._bump_edge(u, v, weight, appeared=True)
+            self._bump_insert(u, v, weight)
         else:
             self._patch(u, v, weight)
 
@@ -657,27 +703,9 @@ class WeightedGraph:
         ``ValueError`` on over-decrement, since both indicate a logic bug
         in a reconstruction loop.
         """
-        current = self.weight(u, v)
-        if current == 0:
-            raise KeyError(f"edge ({u}, {v}) not present")
-        if amount > current:
-            raise ValueError(
-                f"cannot decrement edge ({u}, {v}) by {amount}; weight is {current}"
-            )
-        remaining = current - amount
-        self._total_weight -= amount
-        self._weighted_degree[u] -= amount
-        self._weighted_degree[v] -= amount
-        if remaining == 0:
-            del self._adj[u][v]
-            del self._adj[v][u]
-            self._num_edges -= 1
-            self._bump_edge(u, v, 0, appeared=False)
-        else:
-            self._adj[u][v] = remaining
-            self._adj[v][u] = remaining
-            self._patch(u, v, remaining)
-        return remaining
+        if self._decrement_pairs((u, v), amount):
+            return 0
+        return self._adj[u][v]
 
     def decrement_clique(
         self, members: Iterable[Node], amount: int = 1
@@ -687,19 +715,149 @@ class WeightedGraph:
         This is the mutation a clique-to-hyperedge conversion performs:
         each of the ``k*(k-1)/2`` pair weights drops by ``amount`` (edges
         vanish at zero).  Pairs are processed in sorted order for
-        determinism.  Returns the list of pairs whose edges *vanished*
-        (reached weight zero) - the notification payload of
+        determinism, and each one is numbered exactly as a
+        :meth:`decrement_edge` call would be.  Returns the list of pairs
+        whose edges *vanished* (reached weight zero) - the notification
+        payload of
         :meth:`repro.core.pool.CliqueCandidatePool.notify_edges_removed`.
 
-        Raises ``KeyError`` / ``ValueError`` (from
-        :meth:`decrement_edge`) if any pair is missing or under-weight;
-        callers are expected to check existence first.
+        Raises ``KeyError`` / ``ValueError`` (as :meth:`decrement_edge`)
+        at the first missing or under-weight pair, after the pairs
+        before it were decremented; callers are expected to check
+        existence first.
         """
+        return self._decrement_pairs(sorted(members), amount)
+
+    def _decrement_pairs(
+        self, nodes: Sequence[Node], amount: int
+    ) -> List[Tuple[Node, Node]]:
+        """The one decrement path: every pair of ``nodes``, walked once.
+
+        Pairs go in ``combinations(nodes, 2)`` order.  Each advances
+        :attr:`version` by one and stamps both endpoints with it; a
+        vanished pair also advances :attr:`structure_version`.  The
+        adjacency is updated inline; surviving pairs queue their weight
+        patch, and vanished pairs drop theirs and are tombstoned
+        together, in one snapshot patch, once the walk ends.  Returns
+        the vanished pairs.
+        """
+        adj = self._adj
+        pending = self._pending_weight_patches
+        snapshot = self._snapshot_cache
+        index = snapshot.index if snapshot is not None else None
+        walked = 0
         vanished: List[Tuple[Node, Node]] = []
-        for u, v in combinations(sorted(members), 2):
-            if self.decrement_edge(u, v, amount) == 0:
-                vanished.append((u, v))
+        dead: List[Tuple[int, int]] = []
+        try:
+            for i, u in enumerate(nodes):
+                row = adj.get(u, {})
+                iu = index.get(u) if index is not None else None
+                for v in nodes[i + 1 :]:
+                    current = row.get(v, 0)
+                    if current == 0:
+                        raise KeyError(f"edge ({u}, {v}) not present")
+                    if amount > current:
+                        raise ValueError(
+                            f"cannot decrement edge ({u}, {v}) by {amount}; "
+                            f"weight is {current}"
+                        )
+                    remaining = current - amount
+                    if remaining:
+                        row[v] = remaining
+                        adj[v][u] = remaining
+                    else:
+                        del row[v]
+                        del adj[v][u]
+                        vanished.append((u, v))
+                    walked += 1
+                    if index is None:
+                        continue
+                    # Every node of the graph has a row (adding a node
+                    # drops the snapshot).
+                    iv = index[v]
+                    key = (iu, iv) if iu < iv else (iv, iu)
+                    if remaining:
+                        pending[key] = remaining
+                    else:
+                        pending.pop(key, None)
+                        dead.append(key)
+        finally:
+            self._account_walk(nodes, walked, amount)
+            if vanished:
+                self._num_edges -= len(vanished)
+                self._structure_version += len(vanished)
+                self._neighbor_sets_cache = None
+                self._maximality_memo = None
+            if dead:
+                self._tombstone(dead)
         return vanished
+
+    def _account_walk(
+        self, nodes: Sequence[Node], walked: int, amount: int
+    ) -> None:
+        """Version, stamps and node totals for the first ``walked`` pairs
+        of ``combinations(nodes, 2)``.
+
+        Stamped nodes move to the newest end of ``_touch_version``,
+        oldest stamp first, which keeps that dict in touch order.
+        """
+        touch = self._touch_version
+        counts = self._touch_count
+        weighted = self._weighted_degree
+        start = self._version
+        k = len(nodes)
+        if walked == k * (k - 1) // 2:
+            # Every pair was walked: node i is in k - 1 pairs and its
+            # last one, (i, k - 1), closes row i of the walk.
+            stamp = start
+            for i, node in enumerate(nodes):
+                stamp += k - 1 - i
+                touch.pop(node, None)
+                touch[node] = stamp
+                counts[node] = counts.get(node, 0) + k - 1
+                weighted[node] -= amount * (k - 1)
+        else:
+            stamps: Dict[Node, int] = {}
+            pairs = itertools.islice(combinations(nodes, 2), walked)
+            for stamp, pair in enumerate(pairs, start + 1):
+                for node in pair:
+                    stamps[node] = stamp
+                    counts[node] = counts.get(node, 0) + 1
+                    weighted[node] -= amount
+            for node in sorted(stamps, key=stamps.__getitem__):
+                touch.pop(node, None)
+                touch[node] = stamps[node]
+        self._version = start + walked
+        self._total_weight -= amount * walked
+
+    def _tombstone(self, dead: List[Tuple[int, int]]) -> None:
+        """Tombstone the vanished snapshot pairs ``dead`` in one patch.
+
+        Each pair counts as one structural hit, except that a patch
+        that trips the compaction threshold counts its last pair as the
+        compaction's miss.  A failed patch drops the snapshot and
+        counts every pair as a miss.
+        """
+        snapshot = self._snapshot_cache
+        stats = self._patch_stats
+        count = len(dead)
+        if count <= _SCALAR_TOMBSTONE_MAX:
+            patched = all(
+                snapshot._patch_delete(iu, iv, self._version)
+                for iu, iv in dead
+            )
+        else:
+            patched = snapshot._patch_delete_many(dead, self._version)
+        if not patched:
+            stats["structural_misses"] += count
+            self._drop_snapshot()
+        elif self._should_compact(snapshot):
+            stats["structural_hits"] += count - 1
+            stats["structural_misses"] += 1
+            stats["compactions"] += 1
+            self._drop_snapshot()
+        else:
+            stats["structural_hits"] += count
 
     def _flush_weight_patches(self) -> None:
         """Apply every queued weight-only patch to the cached snapshot.
@@ -707,9 +865,9 @@ class WeightedGraph:
         Queued entries accumulate across mutations (deduplicated per
         pair, last write wins) and land here in one pass - scalar for a
         handful, vectorized beyond that - right before the snapshot is
-        read or structurally patched.  On failure (a slot missing or
-        dead, which means the queue went stale) the snapshot is dropped
-        and the next :meth:`snapshot` call rebuilds from the live dicts.
+        read.  On failure (a slot missing or dead, which means the queue
+        went stale) the snapshot is dropped and the next
+        :meth:`snapshot` call rebuilds from the live dicts.
         """
         pending = self._pending_weight_patches
         snapshot = self._snapshot_cache
@@ -720,38 +878,26 @@ class WeightedGraph:
         if count == 0:
             return
         version = self._version
-        if count <= 16:
-            # Small queues: the scalar patch per pair beats the fixed
-            # overhead of assembling numpy arrays.
-            for (iu, iv), weight in pending.items():
-                if not snapshot._patch_weight(iu, iv, weight, version):
-                    self._patch_stats["weight_misses"] += count
-                    self._snapshot_cache = None
-                    pending.clear()
-                    return
+        if count <= _SCALAR_PATCH_MAX:
+            patched = all(
+                snapshot._patch_weight(iu, iv, weight, version)
+                for (iu, iv), weight in pending.items()
+            )
+        else:
+            triples = [(iu, iv, w) for (iu, iv), w in pending.items()]
+            patched = snapshot._patch_weights_batch(triples, version)
+        if patched:
             self._patch_stats["weight_hits"] += count
             pending.clear()
-            return
-        triples = [(iu, iv, w) for (iu, iv), w in pending.items()]
-        if snapshot._patch_weights_batch(triples, version):
-            self._patch_stats["weight_hits"] += count
         else:
             self._patch_stats["weight_misses"] += count
-            self._snapshot_cache = None
-        pending.clear()
+            self._drop_snapshot()
 
     def remove_edge(self, u: Node, v: Node) -> None:
         """Delete edge ``{u, v}`` entirely (no-op when absent)."""
         current = self._adj.get(u, {}).get(v)
-        if current is None:
-            return
-        del self._adj[u][v]
-        del self._adj[v][u]
-        self._num_edges -= 1
-        self._total_weight -= current
-        self._weighted_degree[u] -= current
-        self._weighted_degree[v] -= current
-        self._bump_edge(u, v, 0, appeared=False)
+        if current is not None:
+            self._decrement_pairs((u, v), current)
 
     # ------------------------------------------------------------------
     # Inspection
@@ -796,13 +942,27 @@ class WeightedGraph:
         """
         return self._touch_version.get(node, 0)
 
+    def touched_since(self, version: int) -> List[Node]:
+        """Nodes whose :meth:`touch_version` is above ``version``.
+
+        Newest first.  The stamps are kept in touch order, so the walk
+        starts at the newest end and stops at the first node stamped at
+        or below ``version``: O(nodes returned), however large the
+        graph.  This is the feature-row cache's invalidation feed.
+        """
+        touched: List[Node] = []
+        for node, stamp in reversed(self._touch_version.items()):
+            if stamp <= version:
+                break
+            touched.append(node)
+        return touched
+
     def clique_touch_stamp(self, members: Iterable[Node]) -> int:
         """``max(touch_version)`` over ``members`` (0 for no members).
 
-        This is the feature-row cache's invalidation key: every feature
-        the featurizers derive from the *weights* of this graph depends
-        only on edges incident to a clique member, so a cached row is
-        stale exactly when this stamp has advanced.
+        The Phase-2 sampler's per-clique salt under the global scope
+        (:func:`repro.core.search.sample_subcliques_stable`): it
+        advances exactly when a mutation touches a member.
         """
         touch = self._touch_version
         return max((touch.get(u, 0) for u in members), default=0)
@@ -877,10 +1037,13 @@ class WeightedGraph:
     # Cached derived views
     # ------------------------------------------------------------------
     def neighbor_sets(self) -> Dict[Node, Set[Node]]:
-        """Per-node neighbor sets, cached until the next mutation.
+        """Per-node neighbor sets, cached until the next structural
+        mutation.
 
-        Shared by maximality checks across a scoring batch; callers must
-        treat the returned sets as read-only.
+        Shared by whole-graph clique enumerations between mutations;
+        callers must treat the returned sets as read-only.  Local
+        queries (maximality checks, anchored enumeration) read the live
+        adjacency instead, so the loop never rebuilds this per change.
         """
         if self._neighbor_sets_cache is None:
             self._neighbor_sets_cache = {
@@ -902,12 +1065,13 @@ class WeightedGraph:
         return self._clique_rows_cache
 
     def maximality_memo(self) -> Dict[Tuple[Node, ...], float]:
-        """Scratch table for per-clique maximality flags, cleared on mutation.
+        """Scratch table for per-clique maximality flags, cleared on
+        structural mutation.
 
         The reconstruction loop evaluates maximality against the
         *immutable* original graph, so candidate cliques that survive
         across iterations resolve to one cached flag instead of a fresh
-        neighbor-set walk per scoring round.
+        adjacency walk per scoring round.
         """
         if self._maximality_memo is None:
             self._maximality_memo = {}

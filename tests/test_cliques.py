@@ -4,13 +4,17 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.pool import CliqueCandidatePool
 from repro.hypergraph.cliques import (
     cliques_containing_edge,
     is_clique,
     is_maximal_clique,
     maximal_cliques,
     maximal_cliques_list,
+    maximal_cliques_through,
 )
 from repro.hypergraph.graph import WeightedGraph
 
@@ -129,3 +133,65 @@ class TestCliquesContainingEdge:
     def test_missing_edge_yields_nothing(self, triangle_graph):
         triangle_graph.remove_edge(0, 1)
         assert list(cliques_containing_edge(triangle_graph, 0, 1)) == []
+
+
+@st.composite
+def graphs_and_anchors(draw):
+    """A random graph on up to 12 nodes and a random anchor set (which
+    may name isolated or absent nodes)."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    graph = WeightedGraph(nodes=range(n))
+    for u, v in combinations(range(n), 2):
+        if draw(st.booleans()):
+            graph.add_edge(u, v, draw(st.integers(min_value=1, max_value=3)))
+    anchors = draw(st.sets(st.integers(min_value=0, max_value=n + 1)))
+    return graph, anchors
+
+
+class TestMaximalCliquesThrough:
+    @given(graphs_and_anchors())
+    @settings(max_examples=60, deadline=None)
+    def test_each_anchored_maximal_clique_exactly_once(self, case):
+        graph, anchors = case
+        found = list(maximal_cliques_through(graph, anchors))
+        expected = {c for c in maximal_cliques(graph) if c & anchors}
+        assert len(found) == len(set(found))
+        assert set(found) == expected
+
+    def test_clique_reported_at_its_smallest_anchor_only(self):
+        graph = WeightedGraph()
+        for u, v in combinations(range(4), 2):
+            graph.add_edge(u, v)
+        graph.add_edge(3, 4)
+        found = list(maximal_cliques_through(graph, [3, 0, 4]))
+        assert sorted(found, key=sorted) == [
+            frozenset({0, 1, 2, 3}),
+            frozenset({3, 4}),
+        ]
+
+    def test_isolated_and_unknown_anchors_yield_nothing(self):
+        graph = WeightedGraph(nodes=[0, 1, 2])
+        graph.add_edge(1, 2)
+        assert list(maximal_cliques_through(graph, [0, 7])) == []
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=15, deadline=None)
+    def test_pool_matches_rescan_after_removal_sequences(self, seed):
+        """The pool's anchored maintenance, after every step of a random
+        removal sequence, equals a fresh enumeration."""
+        rng = np.random.default_rng(seed)
+        graph = WeightedGraph()
+        for u, v in combinations(range(12), 2):
+            if rng.random() < 0.5:
+                graph.add_edge(u, v, int(rng.integers(1, 3)))
+        pool = CliqueCandidatePool(graph)
+        edges = list(graph.edges())
+        rng.shuffle(edges)
+        for start in range(0, len(edges), 3):
+            vanished = []
+            for u, v in edges[start : start + 3]:
+                if graph.decrement_edge(u, v, graph.weight(u, v)) == 0:
+                    vanished.append((u, v))
+            pool.notify_edges_removed(vanished)
+            assert pool.matches_rescan()
+            assert pool.check_invariants() is None

@@ -1,8 +1,9 @@
 """Feature-row cache: invalidation edge cases and byte-identity.
 
 The cache (``repro.core.features._RowCachedFeaturizer``) memoizes
-feature rows per clique under ``(max touch_version over members,
-structure stamps)``.  These tests pin the invalidation rule:
+feature rows per clique and drops the rows through every node a graph
+reports as touched since the previous call (plus every row when a
+structure stamp moves).  These tests pin the invalidation rule:
 
 - mutations touching *no* member of a cached candidate keep its row
   valid (and the served row equals a fresh computation bit-for-bit);
@@ -158,6 +159,38 @@ class TestCacheServesAndInvalidates:
         assert featurizer.row_cache_hits == 0
         assert len(featurizer._row_cache) == 0
         assert rows.shape == (2, CliqueFeaturizer.n_features)
+
+
+class TestDistinctReference:
+    @pytest.mark.parametrize("featurizer_cls", FEATURIZERS)
+    def test_reference_touches_recompute_exactly_their_rows(
+        self, featurizer_cls
+    ):
+        """Mutating a distinct reference graph between calls recomputes
+        the rows through its touched nodes, and only those."""
+        graph = _two_component_graph()
+        reference = _two_component_graph()
+        candidates = [
+            frozenset({0, 1, 2}),
+            frozenset({2, 3}),
+            frozenset({0, 3}),
+            frozenset({10, 11, 12}),
+            frozenset({11, 12}),
+        ]
+        featurizer = featurizer_cls()
+        featurizer.featurize_many(candidates, graph, reference)
+        misses = featurizer.row_cache_misses
+        reference.remove_edge(2, 3)  # touches reference nodes 2 and 3
+        served = featurizer.featurize_many(candidates, graph, reference)
+        through_touched = [c for c in candidates if c & {2, 3}]
+        assert featurizer.row_cache_misses - misses == len(through_touched)
+        assert featurizer.row_cache_hits == len(candidates) - len(
+            through_touched
+        )
+        np.testing.assert_array_equal(
+            served,
+            featurizer_cls().featurize_many(candidates, graph, reference),
+        )
 
 
 class TestEviction:

@@ -398,6 +398,82 @@ class TestTouchVersionsAndPatching:
         assert WeightedGraph().uid != WeightedGraph().uid
 
 
+class TestTouchedSince:
+    """``touched_since(v)`` lists exactly the nodes stamped above ``v``."""
+
+    @staticmethod
+    def _expected(graph, version):
+        return {u for u in graph.nodes if graph.touch_version(u) > version}
+
+    def test_weight_only_change(self):
+        graph = WeightedGraph()
+        graph.add_edge(0, 1, 3)
+        graph.add_edge(2, 3, 2)
+        mark = graph.version
+        graph.decrement_edge(0, 1)  # stays positive
+        assert set(graph.touched_since(mark)) == {0, 1}
+        assert graph.touched_since(graph.version) == []
+
+    def test_structural_change(self):
+        graph = WeightedGraph()
+        graph.add_edge(0, 1, 1)
+        graph.add_edge(1, 2, 1)
+        graph.add_edge(3, 4, 1)
+        mark = graph.version
+        graph.decrement_edge(1, 2)  # vanishes
+        graph.add_edge(0, 2)  # appears
+        assert set(graph.touched_since(mark)) == {0, 1, 2}
+        assert set(graph.touched_since(mark)) == self._expected(graph, mark)
+
+    def test_add_node(self):
+        graph = WeightedGraph()
+        graph.add_edge(0, 1)
+        mark = graph.version
+        graph.add_node(7)
+        assert graph.touched_since(mark) == [7]
+
+    def test_node_touched_again_moves_to_newest(self):
+        graph = WeightedGraph()
+        for u, v in [(0, 1), (2, 3), (4, 5)]:
+            graph.add_edge(u, v, 3)
+        graph.decrement_edge(0, 1)
+        mark = graph.version
+        graph.decrement_edge(2, 3)
+        graph.decrement_edge(0, 1)  # 0 and 1 again, after 2 and 3
+        assert graph.touched_since(mark)[:2] in ([1, 0], [0, 1])
+        assert set(graph.touched_since(mark)) == {0, 1, 2, 3}
+        middle = graph.touch_version(2)
+        assert set(graph.touched_since(middle)) == {0, 1}
+
+    def test_every_version_of_a_random_history(self):
+        """After a random mutation mix, including clique decrements,
+        every cut-off agrees with a scan of all touch versions."""
+        import numpy as np
+
+        rng = np.random.default_rng(5)
+        graph = WeightedGraph(nodes=range(10))
+        for _ in range(200):
+            u, v = (int(x) for x in rng.choice(10, size=2, replace=False))
+            op = int(rng.integers(0, 4))
+            if op == 0:
+                graph.add_edge(u, v, int(rng.integers(1, 3)))
+            elif op == 1 and graph.has_edge(u, v):
+                graph.decrement_edge(u, v)
+            elif op == 2 and graph.has_edge(u, v):
+                graph.set_weight(u, v, 0)
+            else:
+                w = next(iter(graph.common_neighbors(u, v)), None)
+                if w is not None and graph.has_edge(u, v):
+                    graph.decrement_clique([u, v, w])
+        for version in range(graph.version + 1):
+            touched = graph.touched_since(version)
+            assert len(touched) == len(set(touched))
+            assert set(touched) == self._expected(graph, version)
+
+    def test_copy_starts_untouched(self, triangle_graph):
+        assert triangle_graph.copy().touched_since(0) == []
+
+
 class TestSnapshotKernels:
     def test_pair_weights_lookup(self, triangle_graph):
         import numpy as np

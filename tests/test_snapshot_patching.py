@@ -10,6 +10,8 @@ a from-scratch rebuild, including across tombstone-compaction boundaries
 and the slack-exhaustion fallback.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -148,3 +150,95 @@ class TestStructuralPatchFuzz:
         for u, v in pairs:
             graph.add_edge(u, v, 1)
             _assert_patched_equals_rebuilt(graph)
+
+
+CLIQUE_NODES = 16
+
+
+def _clique_graph(seed):
+    """A dense graph with mostly unit weights (so many pairs vanish,
+    some cliques past the vectorized tombstone cut-over) and a warm
+    snapshot, built identically for every call."""
+    rng = np.random.default_rng(seed)
+    graph = WeightedGraph(nodes=range(CLIQUE_NODES))
+    for u in range(CLIQUE_NODES):
+        for v in range(u + 1, CLIQUE_NODES):
+            if rng.random() < 0.9:
+                graph.add_edge(u, v, int(rng.choice([1, 1, 1, 2, 3])))
+    graph.snapshot()
+    return graph
+
+
+def _random_clique(graph, rng):
+    """A random clique of 2-8 live nodes, grown greedily."""
+    order = [int(u) for u in rng.permutation(CLIQUE_NODES)]
+    size = int(rng.integers(2, 9))
+    members = []
+    for u in order:
+        if all(graph.has_edge(u, w) for w in members):
+            members.append(u)
+            if len(members) == size:
+                break
+    return members if len(members) >= 2 else None
+
+
+class TestOnePassDecrement:
+    """``decrement_clique`` walks its pairs once and tombstones vanished
+    pairs in one snapshot patch; it must leave exactly the state that
+    per-pair ``decrement_edge`` calls leave."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_pair_decrements(self, seed):
+        one_pass = _clique_graph(seed)
+        per_pair = _clique_graph(seed)
+        rng = np.random.default_rng(1000 + seed)
+        for _ in range(6):
+            # Several conversions with no snapshot read between them, so
+            # weight patches stay queued when later pairs vanish.
+            for _ in range(4):
+                members = _random_clique(one_pass, rng)
+                if members is None:
+                    break
+                vanished = one_pass.decrement_clique(members)
+                expected = [
+                    (u, v)
+                    for u, v in combinations(sorted(members), 2)
+                    if per_pair.decrement_edge(u, v) == 0
+                ]
+                assert vanished == expected
+            assert one_pass == per_pair
+            assert one_pass.version == per_pair.version
+            assert one_pass.structure_version == per_pair.structure_version
+            for node in range(CLIQUE_NODES):
+                assert one_pass.touch_version(node) == per_pair.touch_version(
+                    node
+                )
+                assert one_pass.clique_touch_count(
+                    [node]
+                ) == per_pair.clique_touch_count([node])
+                assert one_pass.weighted_degree(
+                    node
+                ) == per_pair.weighted_degree(node)
+            _assert_patched_equals_rebuilt(one_pass)
+            _assert_patched_equals_rebuilt(per_pair)
+
+    def test_failed_pair_leaves_earlier_pairs_decremented(self):
+        """The walk stops at a missing pair; what it did before stays
+        numbered and patched like per-pair calls."""
+        one_pass = WeightedGraph()
+        per_pair = WeightedGraph()
+        for graph in (one_pass, per_pair):
+            for u, v in [(0, 1), (0, 2), (1, 3), (2, 3)]:
+                graph.add_edge(u, v, 1)
+            graph.add_edge(0, 3, 2)
+            graph.snapshot()
+        with pytest.raises(KeyError):
+            one_pass.decrement_clique([0, 1, 2, 3])  # (1, 2) is missing
+        for u, v in [(0, 1), (0, 2), (0, 3)]:
+            per_pair.decrement_edge(u, v)
+        assert one_pass == per_pair
+        assert one_pass.version == per_pair.version
+        assert one_pass.touched_since(0) == per_pair.touched_since(0)
+        for node in range(4):
+            assert one_pass.touch_version(node) == per_pair.touch_version(node)
+        _assert_patched_equals_rebuilt(one_pass)
