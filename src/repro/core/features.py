@@ -451,7 +451,9 @@ class _RowCachedFeaturizer:
                         through.setdefault(node, set()).add(clique)
             if len(cache) > self.row_cache_limit:
                 self._evict()
-        return np.vstack(rows)
+        # One copy for the whole batch: vstack would first promote every
+        # row to 2-D.
+        return np.concatenate(rows).reshape(len(rows), -1)
 
     def _evict(self) -> None:
         """Keep the most recently inserted half of the cache."""

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.core.search import DrawMemo
 from repro.hypergraph.cliques import (
     Clique,
     is_maximal_clique,
@@ -51,6 +52,15 @@ class CliqueCandidatePool:
     the graph (only via edge-weight decrements / removals) and then call
     :meth:`notify_edges_removed` with the pairs whose last unit of
     weight disappeared.
+
+    Attributes
+    ----------
+    subclique_draws : dict
+        The Phase-2 sampler's memo
+        (:func:`repro.core.search.sample_subcliques_stable`): at most
+        one entry per pooled clique, holding the key it was last drawn
+        under and its sub-clique draws.  An entry leaves with its
+        clique, so the memo never outgrows the pool.
     """
 
     def __init__(self, graph: WeightedGraph) -> None:
@@ -58,6 +68,7 @@ class CliqueCandidatePool:
         self._cliques: Set[Clique] = set(maximal_cliques(graph))
         self._by_node: Dict[Node, Set[Clique]] = {}
         self._sort_keys: Dict[Clique, Tuple[int, List[Node]]] = {}
+        self.subclique_draws: DrawMemo = {}
         for clique in self._cliques:
             self._index_add(clique)
         self._sorted: Optional[List[Clique]] = None
@@ -80,6 +91,7 @@ class CliqueCandidatePool:
             if bucket is not None:
                 bucket.discard(clique)
         self._sort_keys.pop(clique, None)
+        self.subclique_draws.pop(clique, None)
 
     def current(self) -> List[Clique]:
         """The maximal cliques, sorted for deterministic iteration

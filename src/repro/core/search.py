@@ -72,12 +72,18 @@ def sample_subcliques(
     return sampled
 
 
+#: Per-clique memo of :func:`sample_subcliques_stable`: clique ->
+#: ``((stamp, seed, local_stamps), draws before deduplication)``.
+DrawMemo = Dict[Clique, Tuple[Tuple[int, int, bool], List[Clique]]]
+
+
 def sample_subcliques_stable(
     cliques: Sequence[Clique],
     graph: WeightedGraph,
     seed: int,
     members_of: Optional[Callable[[Clique], List[Node]]] = None,
     local_stamps: bool = False,
+    memo: Optional[DrawMemo] = None,
 ) -> List[Clique]:
     """Counter-based Phase 2 sampling: one k-subset per size, per clique.
 
@@ -120,6 +126,19 @@ def sample_subcliques_stable(
     function of the clique's own component, so sampling decomposes over
     connected components - the property ``phase2_scope="component"``
     and sharded reconstruction's exact-parity guarantee require.
+
+    ``memo`` optionally keeps each clique's draws (before
+    deduplication) under the ``(stamp, seed, local_stamps)`` they were
+    drawn with.  The draws are a pure function of that key and the
+    members, so a clique whose key is unchanged reuses its list - the
+    same frozenset objects, whose cached hashes also speed up the
+    feature-row cache lookups - and only the other cliques are hashed,
+    ranked and re-stored.  Either stamp changes only when a member is
+    touched, so every tail clique left untouched since its last draw
+    is a memo hit.  The output is the same with or without a memo.  The
+    incremental engine passes
+    :attr:`~repro.core.pool.CliqueCandidatePool.subclique_draws`, which
+    drops an entry with its clique.
     """
     salt_base = mix64_int(seed & MASK64)
     stamp_of = (
@@ -127,45 +146,49 @@ def sample_subcliques_stable(
     )
     if members_of is None:
         members_of = sorted
-    # Group the tail by clique size; each group is ranked in one shot.
-    groups: Dict[int, List[Tuple[int, List[Node]]]] = {}
+    # Each clique's draws before deduplication, by position: memo hits
+    # are filled in here, the rest by the size groups below.
+    drawn: List[Optional[List[Clique]]] = [None] * len(cliques)
+    groups: Dict[int, List[Tuple[int, List[Node], int]]] = {}
     for position, clique in enumerate(cliques):
         members = members_of(clique)
         n = len(members)
         if n <= 2:
             continue
-        groups.setdefault(n, []).append((position, members))
-    orders: Dict[int, Tuple[List[Node], np.ndarray]] = {}
+        stamp = stamp_of(members)
+        if memo is not None:
+            entry = memo.get(clique)
+            if entry is not None and entry[0] == (stamp, seed, local_stamps):
+                drawn[position] = entry[1]
+                continue
+        groups.setdefault(n, []).append((position, members, stamp))
     for n, group in groups.items():
-        ids = np.array([members for _, members in group], dtype=np.int64)
-        ids = ids.astype(np.uint64)  # (m, n)
-        stamps = np.fromiter(
-            (stamp_of(members) for _, members in group),
-            dtype=np.uint64,
-            count=len(group),
-        )
+        ids = np.array([members for _, members, _ in group], dtype=np.int64)
+        stamps = np.array([stamp for _, _, stamp in group], dtype=np.uint64)
         clique_salts = mix64(np.uint64(salt_base) ^ stamps)  # (m,)
         salts = mix64(
             clique_salts[:, None] ^ np.arange(2, n, dtype=np.uint64)[None, :]
         )  # (m, n - 2)
         # (m, n - 2, n) keys: row j ranks the members for size j + 2.
         order = np.argsort(
-            mix64(ids[:, None, :] ^ salts[:, :, None]),
+            mix64(ids.astype(np.uint64)[:, None, :] ^ salts[:, :, None]),
             axis=2,
             kind="stable",
         )
-        for (position, members), clique_order in zip(group, order):
-            orders[position] = (members, clique_order)
+        ranked = np.take_along_axis(ids[:, None, :], order, axis=2).tolist()
+        for (position, _, stamp), rows in zip(group, ranked):
+            draws = [frozenset(row[: j + 2]) for j, row in enumerate(rows)]
+            drawn[position] = draws
+            if memo is not None:
+                memo[cliques[position]] = ((stamp, seed, local_stamps), draws)
     # Emit in the original clique order so deduplication matches the
     # sequential reference stream exactly.
     sampled: List[Clique] = []
     seen = set()
-    for position in sorted(orders):
-        members, order = orders[position]
-        for j in range(len(members) - 2):
-            subclique = frozenset(
-                members[int(i)] for i in order[j, : j + 2]
-            )
+    for draws in drawn:
+        if draws is None:
+            continue
+        for subclique in draws:
             if subclique not in seen:
                 seen.add(subclique)
                 sampled.append(subclique)
@@ -352,13 +375,13 @@ def bidirectional_search(
     if not skip_negative_phase and negative_indices:
         tail = [cliques[i] for i in negative_indices]
         if sample_seed is not None:
-            members_of = pool.sorted_members if pool is not None else None
             subcliques = sample_subcliques_stable(
                 tail,
                 graph,
                 sample_seed,
-                members_of=members_of,
+                members_of=pool.sorted_members if pool is not None else None,
                 local_stamps=phase2_scope == "component",
+                memo=pool.subclique_draws if pool is not None else None,
             )
         else:
             subcliques = sample_subcliques(tail, rng)

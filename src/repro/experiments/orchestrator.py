@@ -108,7 +108,7 @@ class GridSpec:
     named by ``context`` - a tuple of ``(key, value)`` string pairs
     merged into every cell payload and pinned into the grid
     fingerprint, so a checkpoint can never resume against a different
-    plan or workdir.
+    plan, model or workdir.
     """
 
     methods: Tuple[str, ...]

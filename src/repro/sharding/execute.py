@@ -7,8 +7,10 @@ plan itself), and submits one orchestrator cell per shard through
 :func:`repro.experiments.orchestrator.run_grid` - inheriting its
 process-pool fan-out, checkpoint/resume, retry-with-backoff, and crash
 quarantine without any new machinery.  Cells are keyed by the plan
-hash, so a persistent workdir can resume a killed run but can never mix
-results from two different partitionings.
+hash and the grid pins the model file's sha256, so a persistent workdir
+can resume a killed run but can never mix results from two different
+partitionings or two different models: resuming with either changed
+raises the orchestrator's "written for a different grid" error.
 
 Workers never see the full graph: each cell reads only its shard's
 edge file and the shared model file (cached per process), which is what
@@ -282,7 +284,10 @@ def reconstruct_sharded(
             methods=(SHARD_METHOD,),
             datasets=(plan.plan_hash,),
             seeds=tuple(range(plan.n_shards)),
-            context=(("workdir", str(workdir)),),
+            context=(
+                ("workdir", str(workdir)),
+                ("model_sha256", str(manifest["model_sha256"])),
+            ),
         )
         result = run_grid(
             spec,

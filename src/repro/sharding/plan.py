@@ -35,10 +35,12 @@ import dataclasses
 import hashlib
 import heapq
 import json
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.hypergraph.graph import Node, WeightedGraph
-from repro.rng import mix_tokens
+from repro.rng import mix64, mix_tokens
 
 
 @dataclasses.dataclass(frozen=True)
@@ -162,17 +164,30 @@ def _component_edges(graph: WeightedGraph, component: Sequence[Node]) -> int:
     return sum(graph.degree(node) for node in component) // 2
 
 
+def _tie_salts(seed: int, n_nodes: int) -> List[int]:
+    """``mix_tokens(seed, ("shard-tie", rank))`` for every rank below
+    ``n_nodes``, as one table.
+
+    The fold of ``seed`` and the tag is the same for every rank, and
+    the rank is only the last SplitMix64 round, so the whole table is
+    one vectorized round over ``arange(n_nodes)``.
+    """
+    prefix = np.uint64(mix_tokens(seed, ("shard-tie",)))
+    return mix64(prefix ^ np.arange(n_nodes, dtype=np.uint64)).tolist()
+
+
 def _split_component(
     graph: WeightedGraph,
     component: Sequence[Node],
     budget: int,
-    seed: int,
+    salts: Sequence[int],
     rank: Dict[Node, int],
 ) -> List[Tuple[Node, ...]]:
     """Greedy weighted region growing of one oversized component.
 
     Frontier candidates are kept in a lazy-deletion heap keyed by
-    ``(-attachment_weight, salted_rank, rank)``; stale entries (the
+    ``(-attachment_weight, salted_rank, rank)``, the salted rank being
+    ``salts[rank]`` (see :func:`_tie_salts`); stale entries (the
     node was absorbed, or its attachment grew since the push) are
     skipped on pop.  A part closes when its best candidate would push
     it past ``budget`` intra-part edges, so every emitted part
@@ -180,7 +195,7 @@ def _split_component(
     """
 
     def salt(node: Node) -> int:
-        return mix_tokens(seed, ("shard-tie", rank[node]))
+        return salts[rank[node]]
 
     remaining = set(component)
     start_heap = [
@@ -247,6 +262,7 @@ def partition(
         )
     nodes = sorted(graph.nodes)
     rank = {node: position for position, node in enumerate(nodes)}
+    salts: Optional[List[int]] = None  # built at the first split
 
     shards: List[Tuple[Node, ...]] = []
     bin_nodes: List[Node] = []
@@ -254,8 +270,10 @@ def partition(
     for component in _connected_components(graph, nodes):
         edges = _component_edges(graph, component)
         if edges > max_shard_edges:
+            if salts is None:
+                salts = _tie_salts(seed, len(nodes))
             shards.extend(
-                _split_component(graph, component, max_shard_edges, seed, rank)
+                _split_component(graph, component, max_shard_edges, salts, rank)
             )
             continue
         # First-fit packing of whole (in-budget) components, in

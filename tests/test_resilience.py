@@ -320,6 +320,7 @@ class TestCheckpointStore:
         finally:
             child.kill()
             child.wait()
+            child.stdout.close()
         survivor = CheckpointStore(path).read()
         assert survivor is not None, "kill published a torn checkpoint"
         assert set(survivor) == {"generation", "blob"}

@@ -1,9 +1,12 @@
 """Unit tests for the bidirectional search (Algorithm 3)."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from repro.core.classifier import CliqueClassifier
+from repro.core.pool import CliqueCandidatePool
 from repro.core.search import (
     _replace_if_present,
     bidirectional_search,
@@ -86,8 +89,6 @@ class TestStableSampling:
 
     def _graph_and_cliques(self):
         graph = WeightedGraph()
-        from itertools import combinations
-
         for u, v in combinations(range(5), 2):
             graph.add_edge(u, v, 2)
         for u, v in combinations(range(10, 14), 2):
@@ -155,7 +156,9 @@ class TestStableSampling:
         )
 
 
-def _sample_subcliques_sequential_reference(cliques, graph, seed):
+def _sample_subcliques_sequential_reference(
+    cliques, graph, seed, local_stamps=False
+):
     """Per-clique loop computing the counter-based draws one at a time.
 
     This is the pre-vectorization form of :func:`sample_subcliques_stable`;
@@ -166,6 +169,9 @@ def _sample_subcliques_sequential_reference(cliques, graph, seed):
     from repro.rng import MASK64, mix64, mix64_int
 
     salt_base = mix64_int(seed & MASK64)
+    stamp_of = (
+        graph.clique_touch_count if local_stamps else graph.clique_touch_stamp
+    )
     sampled, seen = [], set()
     for clique in cliques:
         members = sorted(clique)
@@ -173,7 +179,7 @@ def _sample_subcliques_sequential_reference(cliques, graph, seed):
         if n <= 2:
             continue
         ids = np.array(members, dtype=np.int64).astype(np.uint64)
-        stamp = graph.clique_touch_stamp(members)
+        stamp = stamp_of(members)
         # mix64_int applies the same SplitMix64 permutation as the
         # array mix64, on plain Python ints (scalars would warn).
         clique_salt = mix64_int(salt_base ^ (int(stamp) & MASK64))
@@ -187,28 +193,27 @@ def _sample_subcliques_sequential_reference(cliques, graph, seed):
     return sampled
 
 
+def _random_setup(seed):
+    rng = np.random.default_rng(seed)
+    graph = WeightedGraph()
+    for u, v in combinations(range(18), 2):
+        if rng.random() < 0.4:
+            graph.add_edge(u, v, int(rng.integers(1, 4)))
+    cliques = []
+    for _ in range(25):
+        k = int(rng.integers(2, 7))  # include size-2 (skipped) cliques
+        members = rng.choice(18, size=k, replace=False)
+        cliques.append(frozenset(int(u) for u in members))
+    return graph, cliques
+
+
 class TestStableSamplerVectorizationParity:
     """The size-grouped batched sampler must reproduce the sequential
     per-clique reference stream exactly."""
 
-    def _random_setup(self, seed):
-        from itertools import combinations
-
-        rng = np.random.default_rng(seed)
-        graph = WeightedGraph()
-        for u, v in combinations(range(18), 2):
-            if rng.random() < 0.4:
-                graph.add_edge(u, v, int(rng.integers(1, 4)))
-        cliques = []
-        for _ in range(25):
-            k = int(rng.integers(2, 7))  # include size-2 (skipped) cliques
-            members = rng.choice(18, size=k, replace=False)
-            cliques.append(frozenset(int(u) for u in members))
-        return graph, cliques
-
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_sequential_reference(self, seed):
-        graph, cliques = self._random_setup(seed)
+        graph, cliques = _random_setup(seed)
         assert sample_subcliques_stable(
             cliques, graph, seed=seed
         ) == _sample_subcliques_sequential_reference(cliques, graph, seed)
@@ -217,7 +222,7 @@ class TestStableSamplerVectorizationParity:
     def test_matches_reference_after_touches(self, seed):
         """Touch stamps feed the salts; a partially touched graph must
         not break the equivalence."""
-        graph, cliques = self._random_setup(seed)
+        graph, cliques = _random_setup(seed)
         for u, v in list(graph.edges())[::5]:
             graph.decrement_edge(u, v)
         assert sample_subcliques_stable(
@@ -226,11 +231,103 @@ class TestStableSamplerVectorizationParity:
 
     def test_members_of_fast_path_is_equivalent(self):
         """The pool's cached sorted-member lists must not change draws."""
-        graph, cliques = self._random_setup(9)
+        graph, cliques = _random_setup(9)
         cached = {c: sorted(c) for c in cliques}
         assert sample_subcliques_stable(
             cliques, graph, seed=9, members_of=cached.__getitem__
         ) == sample_subcliques_stable(cliques, graph, seed=9)
+
+
+class TestDrawMemo:
+    """With a memo, the sampler reuses the draws of cliques whose key
+    ``(stamp, seed, local_stamps)`` is unchanged; its output must equal
+    the memo-free sampler's and the sequential reference's, call after
+    call, as decrements touch members between calls."""
+
+    @staticmethod
+    def _check(cliques, graph, seed, local_stamps, memo):
+        expected = _sample_subcliques_sequential_reference(
+            cliques, graph, seed, local_stamps
+        )
+        assert sample_subcliques_stable(
+            cliques, graph, seed, local_stamps=local_stamps
+        ) == expected
+        assert sample_subcliques_stable(
+            cliques, graph, seed, local_stamps=local_stamps, memo=memo
+        ) == expected
+        return expected
+
+    @pytest.mark.parametrize("local_stamps", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_memo_free_across_decrements(self, seed, local_stamps):
+        graph, cliques = _random_setup(seed)
+        rng = np.random.default_rng(100 + seed)
+        memo = {}
+        for _ in range(6):
+            self._check(cliques, graph, seed, local_stamps, memo)
+            edges = sorted(graph.edges())
+            for index in rng.choice(len(edges), size=3, replace=False):
+                graph.decrement_edge(*edges[index])
+        assert set(memo) == {c for c in cliques if len(c) > 2}
+
+    def test_different_seed_or_scope_through_one_memo(self):
+        graph, cliques = _random_setup(7)
+        graph.decrement_edge(*sorted(graph.edges())[0])
+        memo = {}
+        for seed, local_stamps in [
+            (1, False), (2, False), (1, False), (1, True), (2, True),
+        ]:
+            self._check(cliques, graph, seed, local_stamps, memo)
+
+    def test_dedup_across_reused_draws(self):
+        """Two cliques sharing most members draw some equal sub-clique;
+        with every draw served from the memo, only the first copy is
+        emitted, as without a memo."""
+        graph = WeightedGraph()
+        for u, v in combinations(range(7), 2):
+            graph.add_edge(u, v)
+        cliques = [frozenset(range(6)), frozenset(range(1, 7))]
+        for seed in range(50):
+            memo = {}
+            first = self._check(cliques, graph, seed, False, memo)
+            if len(first) < sum(len(c) - 2 for c in cliques):
+                break
+        else:
+            pytest.fail("no seed below 50 draws a shared sub-clique")
+        drawn = [entry[1] for entry in memo.values()]
+        assert self._check(cliques, graph, seed, False, memo) == first
+        assert all(
+            entry[1] is draws for entry, draws in zip(memo.values(), drawn)
+        )
+
+    def test_pool_drops_a_leaving_clique_and_redraws_it_on_return(self):
+        graph = WeightedGraph()
+        for u, v in combinations(range(5), 2):
+            graph.add_edge(u, v, 2)
+        for u, v in combinations(range(4, 8), 2):
+            graph.add_edge(u, v, 1)
+        pool = CliqueCandidatePool(graph)
+        memo = pool.subclique_draws
+        self._check(pool.current(), graph, 3, False, memo)
+        leaving = frozenset(range(5))
+        assert leaving in memo
+
+        graph.decrement_edge(0, 1)
+        graph.decrement_edge(0, 1)
+        pool.notify_edges_removed([(0, 1)])
+        assert leaving not in pool.current()
+        assert leaving not in memo
+        assert set(memo) <= set(pool.current())
+        self._check(pool.current(), graph, 3, False, memo)
+
+        # An out-of-band re-insertion, then a notification through the
+        # pair: the clique is discarded and re-found in one call.
+        graph.add_edge(0, 1, 2)
+        pool.notify_edges_removed([(0, 1)])
+        assert leaving in pool.current()
+        assert leaving not in memo
+        self._check(pool.current(), graph, 3, False, memo)
+        assert leaving in memo
 
 
 class TestBidirectionalSearch:

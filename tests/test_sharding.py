@@ -17,7 +17,9 @@ The contracts under test, in order of importance:
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +38,7 @@ from repro.datasets.synthetic import (
 from repro.hypergraph.graph import WeightedGraph
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.projection import project
-from repro.rng import derive_seed
+from repro.rng import derive_seed, mix_tokens
 from repro.sharding import (
     ShardPlan,
     ShardingConfig,
@@ -44,7 +46,9 @@ from repro.sharding import (
     partition,
     reconstruct_sharded,
 )
+from repro.sharding import plan as plan_module
 from repro.sharding.execute import SHARD_METHOD, peak_rss_mb
+from repro.sharding.plan import _tie_salts
 
 
 # ----------------------------------------------------------------------
@@ -159,6 +163,62 @@ class TestShardPlan:
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError, match="max_shard_edges"):
             partition(WeightedGraph(nodes=[0, 1]), 0)
+
+
+def _scalar_tie_salts(seed: int, n_nodes: int):
+    """The refinement tie salts, one ``mix_tokens`` call per rank: the
+    reference the partitioner's vectorized table must equal."""
+    return [mix_tokens(seed, ("shard-tie", rank)) for rank in range(n_nodes)]
+
+
+def _hashed_graph(n_nodes: int = 150, n_edges: int = 700) -> WeightedGraph:
+    """A fixed graph built from counter hashes alone, so its plans change
+    only when the partitioner does."""
+    graph = WeightedGraph(nodes=range(n_nodes))
+    for index in range(n_edges):
+        value = mix_tokens(0, ("plan-golden", index))
+        u, v = value % n_nodes, (value >> 20) % n_nodes
+        if u != v:
+            graph.add_edge(u, v, 1 + (value >> 40) % 3)
+    return graph
+
+
+class TestPlanContent:
+    """Plans stay exactly what they were, not merely reproducible."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 22, 2**40 + 3, 2**64 - 1])
+    def test_tie_salts_match_scalar_mix_tokens(self, seed):
+        assert _tie_salts(seed, 500) == _scalar_tie_salts(seed, 500)
+
+    @given(
+        weighted_graphs(max_nodes=40, max_edges=150),
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_plan_hash_matches_scalar_salt_reference(
+        self, graph, budget, seed
+    ):
+        plan = partition(graph, budget, seed=seed)
+        with mock.patch.object(plan_module, "_tie_salts", _scalar_tie_salts):
+            reference = partition(graph, budget, seed=seed)
+        assert plan.plan_hash == reference.plan_hash
+
+    @pytest.mark.parametrize(
+        "budget, seed, plan_hash",
+        [
+            (40, 0, "ac384676b96c31a5171643461b704f41"
+                    "0531fee74fea07001c945db8c934db49"),
+            (120, 7, "c3799af449c0a7adac7abfe92e3f45f0"
+                     "9fdb0e0496b5dd3c29855b81b5aad2ad"),
+            (300, 2**40 + 3, "cadc43707a0f1baa6f7d4511c915ed33"
+                             "60f13e2828bd35624e9ddc941d00b500"),
+        ],
+    )
+    def test_plan_hash_is_pinned(self, budget, seed, plan_hash):
+        assert partition(_hashed_graph(), budget, seed=seed).plan_hash == (
+            plan_hash
+        )
 
 
 # ----------------------------------------------------------------------
@@ -308,6 +368,27 @@ class TestShardedReconstruction:
         second = model.reconstruct(graph, sharding=config)
         assert second == first
         assert model.shard_stats_["shard_runtime_seconds"] == first_runtimes
+
+    def test_resume_with_another_model_is_refused(
+        self, fitted_model_and_graph, tmp_path
+    ):
+        """The workdir's checkpoint pins the model as well as the plan:
+        a second model must not be handed the first one's shard results."""
+        model, graph = fitted_model_and_graph
+        other = MARIOH(
+            seed=5, phase2_scope="component", theta_init=0.5, r=50
+        ).fit(_three_block_hypergraph())
+        config = ShardingConfig(max_shard_edges=60)
+        assert hypergraph_digest(
+            other.reconstruct(graph, sharding=config)
+        ) != hypergraph_digest(model.reconstruct(graph, sharding=config))
+
+        persistent = dataclasses.replace(
+            config, workdir=str(tmp_path / "shards")
+        )
+        model.reconstruct(graph, sharding=persistent)
+        with pytest.raises(ValueError, match="different grid"):
+            other.reconstruct(graph, sharding=persistent)
 
     def test_empty_graph_reconstructs_to_empty(self):
         model = MARIOH(seed=0, phase2_scope="component")
