@@ -44,35 +44,3 @@ def emit(name: str, text: str, payload: dict | None = None) -> None:
             encoding="utf-8",
         )
     print(f"\n{text}\n")
-
-
-def merge_into_hotpath(metrics: dict) -> None:
-    """Fold ``metrics`` into BENCH_hotpath.json (the file CI uploads).
-
-    Benchmarks that contribute to the performance trajectory but live
-    outside ``bench_hotpath.py`` (e.g. the sharding bench) merge their
-    keys here so one artifact carries the whole picture.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_hotpath.json"
-    payload = (
-        json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
-    )
-    payload.update(metrics)
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def emit_json(name: str, payload: dict) -> None:
-    """Persist a machine-readable result to benchmarks/results/<name>.json.
-
-    Used to seed the performance trajectory: each run leaves a metrics
-    file that CI (or a later session) can diff against.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.json"
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(f"\n[{name}] {json.dumps(payload, sort_keys=True)}\n")

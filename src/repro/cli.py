@@ -50,8 +50,13 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
     if args.input:
-        hypergraph = read_hypergraph(args.input)
-        source, target = split_source_target(hypergraph, seed=args.seed)
+        # A missing or malformed file, or one too small to split.
+        try:
+            hypergraph = read_hypergraph(args.input)
+            source, target = split_source_target(hypergraph, seed=args.seed)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}")
+            return 2
         target_graph = project(target)
         name = args.input
     else:
@@ -133,7 +138,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_storage(args: argparse.Namespace) -> int:
     if args.input:
-        hypergraph = read_hypergraph(args.input)
+        try:
+            hypergraph = read_hypergraph(args.input)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}")
+            return 2
         name = args.input
     else:
         hypergraph = load(args.dataset, seed=args.seed).hypergraph
@@ -382,14 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         "is given (default crime)",
     )
     serve.add_argument(
-        "--phase2-scope", default="component",
-        choices=["component", "global"],
-        help="Phase-2 quota scope of the startup fit: 'component' "
-        "(default) refreshes incrementally per connected component, "
-        "'global' is the paper's coupled rule (full recompute per "
-        "refresh); ignored with --model, which carries its own scope",
-    )
-    serve.add_argument(
         "--host", default="127.0.0.1", help="bind address (default loopback)"
     )
     serve.add_argument(
@@ -570,16 +571,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.daemon import ReconstructionServer
 
     if args.model:
-        model = MARIOH.load(args.model)
-        print(f"loaded model from {args.model} "
-              f"(phase2_scope={model.phase2_scope})")
+        # A missing or corrupt file, or a model the engine cannot serve.
+        try:
+            engine = StreamingReconstructor(MARIOH.load(args.model))
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}")
+            return 2
+        print(f"loaded model from {args.model}")
     else:
         bundle = load(args.fit_dataset, seed=args.seed)
-        model = MARIOH(seed=args.seed, phase2_scope=args.phase2_scope)
-        model.fit(bundle.source_hypergraph)
-        print(f"fitted on {bundle.name} (phase2_scope={model.phase2_scope})")
-
-    engine = StreamingReconstructor(model)
+        model = MARIOH(seed=args.seed, phase2_scope="component")
+        engine = StreamingReconstructor(model.fit(bundle.source_hypergraph))
+        print(f"fitted on {bundle.name}")
     server = ReconstructionServer(
         engine,
         host=args.host,
@@ -596,9 +599,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if server.stats["resumed_from_checkpoint"]:
         print(f"resumed from checkpoint: {server.stats['resume_edits']} "
               f"edit(s) already applied")
-    mode = "incremental (per-component)" if engine.incremental else \
-        "global (full recompute per refresh)"
-    print(f"refresh mode: {mode}")
     # Parsed by subprocess harnesses; keep the format stable and flushed.
     print(f"serving on {server.host}:{server.port}", flush=True)
 

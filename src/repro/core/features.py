@@ -320,8 +320,7 @@ class _RowCachedFeaturizer:
         Soft entry cap; when an insert pushes the cache past it, the
         oldest half of the entries is evicted (insertion order).
     row_cache_hits, row_cache_misses : int
-        Lookup counters since the last :meth:`reset_row_cache`; the
-        hot-path benchmark derives its cache-hit-rate metric from them.
+        Lookup counters since the last :meth:`reset_row_cache`.
     """
 
     row_cache_limit = 200_000

@@ -210,10 +210,6 @@ class MARIOH:
         #: runtime-breakdown benchmark.
         self.stage_times_: Dict[str, float] = {}
         self.n_iterations_: int = 0
-        #: wall-clock seconds of each bidirectional-search iteration of
-        #: the last reconstruct() call - the per-iteration series behind
-        #: BENCH_hotpath.json's timing metrics.
-        self.iteration_seconds_: List[float] = []
         #: per-conversion provenance, filled by reconstruct() when
         #: ``record_provenance`` is set.
         self.provenance_: List[ProvenanceRecord] = []
@@ -223,8 +219,7 @@ class MARIOH:
         self.engine_fallback_: Optional[Dict[str, object]] = None
         #: the working graph's in-place snapshot patch counters after
         #: the last reconstruct() (see
-        #: :meth:`~repro.hypergraph.graph.WeightedGraph.snapshot_patch_stats`);
-        #: the source of BENCH_hotpath.json's patch hit rates.
+        #: :meth:`~repro.hypergraph.graph.WeightedGraph.snapshot_patch_stats`).
         self.snapshot_patch_stats_: Dict[str, int] = {}
         #: sharded-reconstruction telemetry of the last
         #: ``reconstruct(..., sharding=...)`` call: plan hash, shard and
@@ -367,7 +362,7 @@ class MARIOH:
         (independent of the classifier's stream), candidate ordering is
         the pool's sorted view, and both engines produce byte-identical
         results (property-tested).  Fills :attr:`stage_times_`,
-        :attr:`n_iterations_`, :attr:`iteration_seconds_`, and - when
+        :attr:`n_iterations_`, :attr:`snapshot_patch_stats_`, and - when
         ``record_provenance`` - :attr:`provenance_`.
         """
         if not self.is_fitted:
@@ -409,7 +404,6 @@ class MARIOH:
         self.engine_fallback_ = None
         theta = self.theta_init
         iterations = 0
-        self.iteration_seconds_ = []
         started = time.perf_counter()
         while not working.is_empty():
             if (
@@ -442,7 +436,6 @@ class MARIOH:
                         "violation": violation,
                     }
                     pool = None
-            iteration_started = time.perf_counter()
             recorder: Optional[List[Tuple[frozenset, str, float]]] = (
                 [] if self.record_provenance else None
             )
@@ -472,9 +465,6 @@ class MARIOH:
                     )
             theta = decay_threshold(theta, self.theta_init, self.alpha)
             iterations += 1
-            self.iteration_seconds_.append(
-                time.perf_counter() - iteration_started
-            )
         self.stage_times_["bidirectional"] = time.perf_counter() - started
         self.n_iterations_ = iterations
         self.snapshot_patch_stats_ = working.snapshot_patch_stats()

@@ -48,30 +48,6 @@ def _replace_if_present(
     return graph.decrement_clique(members)
 
 
-def sample_subcliques(
-    cliques: Sequence[Clique], rng: np.random.Generator
-) -> List[Clique]:
-    """Phase 2 sampling: one random k-subset per size k in [2, |Q|-1].
-
-    Yields sum_Q (|Q| - 2) sub-cliques, deduplicated, as in the paper's
-    definition of ``Q_sub``.  This is the sequential-stream reference
-    sampler; the reconstruction loop uses
-    :func:`sample_subcliques_stable`, which draws the same family of
-    subsets from a counter-based stream instead.
-    """
-    sampled: List[Clique] = []
-    seen = set()
-    for clique in cliques:
-        members = sorted(clique)
-        for k in range(2, len(members)):
-            chosen = rng.choice(len(members), size=k, replace=False)
-            subclique = frozenset(members[int(i)] for i in chosen)
-            if subclique not in seen:
-                seen.add(subclique)
-                sampled.append(subclique)
-    return sampled
-
-
 #: Per-clique memo of :func:`sample_subcliques_stable`: clique ->
 #: ``((stamp, seed, local_stamps), draws before deduplication)``.
 DrawMemo = Dict[Clique, Tuple[Tuple[int, int, bool], List[Clique]]]
@@ -87,10 +63,10 @@ def sample_subcliques_stable(
 ) -> List[Clique]:
     """Counter-based Phase 2 sampling: one k-subset per size, per clique.
 
-    Samples the same family of subsets as :func:`sample_subcliques`
-    (one ``k``-subset for every ``k in [2, |Q|-1]``, deduplicated), but
-    each subset is a *pure function* of ``(seed, members, stamp, k)``
-    where ``stamp`` is the clique's current
+    Samples the paper's ``Q_sub``: one ``k``-subset for every
+    ``k in [2, |Q|-1]`` of each clique ``Q``, sum_Q (|Q| - 2) sub-cliques
+    before deduplication.  Each subset is a *pure function* of
+    ``(seed, members, stamp, k)`` where ``stamp`` is the clique's current
     :meth:`~repro.hypergraph.graph.WeightedGraph.clique_touch_stamp`:
     every member is ranked by a SplitMix64 hash of its id under that
     salt and the ``k`` lowest ranks form the subset.  The key matrix
@@ -182,7 +158,7 @@ def sample_subcliques_stable(
             if memo is not None:
                 memo[cliques[position]] = ((stamp, seed, local_stamps), draws)
     # Emit in the original clique order so deduplication matches the
-    # sequential reference stream exactly.
+    # per-clique loop's stream exactly.
     sampled: List[Clique] = []
     seen = set()
     for draws in drawn:
@@ -281,12 +257,12 @@ def bidirectional_search(
     theta: float,
     r: float,
     reconstruction: Hypergraph,
-    rng: Optional[np.random.Generator] = None,
     reference_graph: Optional[WeightedGraph] = None,
     skip_negative_phase: bool = False,
     pool: Optional["CliqueCandidatePool"] = None,
     recorder: Optional[List[Tuple[Clique, str, float]]] = None,
-    sample_seed: Optional[int] = None,
+    *,
+    sample_seed: int,
     phase2_scope: str = "global",
 ) -> Tuple[WeightedGraph, Hypergraph, int]:
     """One iteration of Algorithm 3, mutating ``graph`` and ``reconstruction``.
@@ -303,9 +279,6 @@ def bidirectional_search(
         Negative prediction processing ratio, in percent.
     reconstruction:
         The reconstructed hypergraph so far (mutated in place).
-    rng:
-        Random generator for sub-clique sampling (the sequential
-        reference path; ignored when ``sample_seed`` is given).
     reference_graph:
         Graph used for the maximality feature (the original ``G``);
         defaults to the current graph.
@@ -322,10 +295,9 @@ def bidirectional_search(
         every conversion (``phase`` is ``"phase1"`` or ``"phase2"``) -
         the raw material of reconstruction provenance.
     sample_seed:
-        When given, Phase 2 uses the counter-based
-        :func:`sample_subcliques_stable` sampler under this seed
-        (decoupled from every sequential RNG stream and coherent with
-        the feature-row cache) instead of drawing from ``rng``.
+        Seed of the counter-based Phase-2 sampler,
+        :func:`sample_subcliques_stable` (decoupled from every
+        sequential RNG stream and coherent with the feature-row cache).
     phase2_scope:
         How the Phase-2 ``r%`` tail quota is computed:
         ``"global"`` (the paper's rule) over the whole sub-θ list,
@@ -338,8 +310,6 @@ def bidirectional_search(
     """
     if not 0.0 <= r <= 100.0:
         raise ValueError(f"r must be a percentage in [0, 100], got {r}")
-    if rng is None:
-        rng = np.random.default_rng()
 
     cliques = pool.current() if pool is not None else maximal_cliques_list(graph)
     if not cliques:
@@ -374,17 +344,14 @@ def bidirectional_search(
     # Phase 2: sub-cliques hidden inside the least promising cliques.
     if not skip_negative_phase and negative_indices:
         tail = [cliques[i] for i in negative_indices]
-        if sample_seed is not None:
-            subcliques = sample_subcliques_stable(
-                tail,
-                graph,
-                sample_seed,
-                members_of=pool.sorted_members if pool is not None else None,
-                local_stamps=phase2_scope == "component",
-                memo=pool.subclique_draws if pool is not None else None,
-            )
-        else:
-            subcliques = sample_subcliques(tail, rng)
+        subcliques = sample_subcliques_stable(
+            tail,
+            graph,
+            sample_seed,
+            members_of=pool.sorted_members if pool is not None else None,
+            local_stamps=phase2_scope == "component",
+            memo=pool.subclique_draws if pool is not None else None,
+        )
         if subcliques:
             sub_scores = classifier.score(subcliques, graph, reference_graph)
             passing = [

@@ -104,8 +104,7 @@ class ReconstructionServer:
     Parameters
     ----------
     reconstructor:
-        The engine to serve (its model decides incremental vs
-        full-recompute refresh semantics).
+        The engine to serve.
     host, port:
         Bind address; port 0 picks a free port (read :attr:`port` after
         :meth:`start`).
@@ -550,7 +549,6 @@ class ReconstructionServer:
                     "total_weight": graph.total_weight(),
                 },
                 uptime_seconds=round(time.monotonic() - self._started, 3),
-                incremental=self.engine.incremental,
             ),
             False,
         )

@@ -23,10 +23,9 @@ current graph.  Three existing mechanisms make that cheap:
    across refreshes is not reconstructed again.  With no previous
    result, after an invariant rebuild, or when something wrote into
    :attr:`~StreamingReconstructor.graph` other than ``apply()``, the
-   refresh falls back to a full pass over every component.  Models
-   with ``phase2_scope="global"`` still work - the whole graph is
-   treated as one "component" (a full recompute per distinct graph
-   state), trading incrementality for the paper's exact quota rule.
+   refresh falls back to a full pass over every component.  A model
+   with ``phase2_scope="global"`` is refused: its coupled quota would
+   force a whole-graph recompute per refresh.
 3. **Engine degradation.**  Each per-component reconstruction runs the
    incremental :class:`~repro.core.pool.CliqueCandidatePool` engine
    under MARIOH's per-iteration ``check_invariants`` audit; a violation
@@ -55,7 +54,7 @@ import numpy as np
 from repro.hypergraph.graph import Node, WeightedGraph
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.rng import derive_seed
-from repro.sharding.stitch import hypergraph_digest
+from repro.sharding.stitch import canonical_edge_list, hypergraph_digest
 
 #: the edit vocabulary, in documentation order.
 EDIT_OPS = ("add_edge", "remove_edge", "reweight")
@@ -170,11 +169,9 @@ class StreamingReconstructor:
     Parameters
     ----------
     model:
-        A fitted :class:`~repro.core.marioh.MARIOH`.  With
-        ``phase2_scope="component"`` refreshes are incremental per
-        connected component; with ``"global"`` every refresh of a dirty
-        graph recomputes the whole reconstruction (both are exactly
-        parity-preserving against the same model's one-shot output).
+        A fitted :class:`~repro.core.marioh.MARIOH` with
+        ``phase2_scope="component"``, so that refreshes re-derive only
+        the connected components an edit touched.
     graph:
         Optional initial projected graph (copied); default empty.
     max_cached_components:
@@ -202,6 +199,11 @@ class StreamingReconstructor:
                 "StreamingReconstructor needs a fitted model; call fit() "
                 "or MARIOH.load() first"
             )
+        if model.phase2_scope != "component":
+            raise ValueError(
+                f"StreamingReconstructor needs a model fitted with "
+                f"phase2_scope='component', got {model.phase2_scope!r}"
+            )
         if max_cached_components < 1:
             raise ValueError(
                 f"max_cached_components must be >= 1, "
@@ -209,7 +211,6 @@ class StreamingReconstructor:
             )
         self.model = model
         self.graph = graph.copy() if graph is not None else WeightedGraph()
-        self.incremental = model.phase2_scope == "component"
         self._max_cached = max_cached_components
         #: component content digest -> canonical [(members, mult), ...]
         self._cache: "OrderedDict[str, List[Tuple[List[Node], int]]]" = (
@@ -236,7 +237,6 @@ class StreamingReconstructor:
             "refresh_passes": 0,
             "component_reconstructs": 0,
             "component_cache_hits": 0,
-            "full_recomputes": 0,
             "engine_fallbacks": 0,
             "invariant_rebuilds": 0,
         }
@@ -287,16 +287,7 @@ class StreamingReconstructor:
         if self._result is not None and self._result_version == graph.version:
             return self._result
         self.stats["refresh_passes"] += 1
-        if not self.incremental:
-            result = Hypergraph(nodes=graph.nodes)
-            if not graph.is_empty():
-                # Global Phase-2 quota couples components, so the only
-                # exact refresh is a whole-graph recompute (still
-                # memoized per graph version, so repeated queries stay
-                # O(1)).
-                self.stats["full_recomputes"] += 1
-                result = self._reconstruct_subgraph(graph)
-        elif self._result is None or self._applied_version != graph.version:
+        if self._result is None or self._applied_version != graph.version:
             # Nothing to patch, or edits the dirty set never saw: derive
             # every component.
             self._components.clear()
@@ -360,22 +351,13 @@ class StreamingReconstructor:
             self.stats["component_cache_hits"] += 1
             return cached
         self.stats["component_reconstructs"] += 1
-        from repro.sharding.stitch import canonical_edge_list
-
-        edge_list = canonical_edge_list(
-            self._reconstruct_subgraph(subgraph)
-        )
+        edge_list = canonical_edge_list(self.model.reconstruct(subgraph))
+        if self.model.engine_fallback_ is not None:
+            self.stats["engine_fallbacks"] += 1
         self._cache[key] = edge_list
         while len(self._cache) > self._max_cached:
             self._cache.popitem(last=False)
         return edge_list
-
-    def _reconstruct_subgraph(self, graph: WeightedGraph) -> Hypergraph:
-        """One model pass, tracking incremental-engine fallbacks."""
-        result = self.model.reconstruct(graph)
-        if self.model.engine_fallback_ is not None:
-            self.stats["engine_fallbacks"] += 1
-        return result
 
     # ------------------------------------------------------------------
     # Self-audit

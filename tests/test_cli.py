@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.marioh import MARIOH
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.io import read_hypergraph, write_hypergraph
 
@@ -135,6 +136,47 @@ class TestCommands:
         write_hypergraph(hypergraph, path)
         assert main(["storage", "--input", str(path)]) == 0
         assert "compression factor" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command, content",
+        [
+            ("reconstruct", None),
+            ("reconstruct", "1 2 x\n"),
+            ("reconstruct", ""),
+            ("storage", None),
+            ("storage", "1 2 x\n"),
+        ],
+        ids=[
+            "reconstruct-missing",
+            "reconstruct-malformed",
+            "reconstruct-empty",
+            "storage-missing",
+            "storage-malformed",
+        ],
+    )
+    def test_unreadable_input_rejected(
+        self, capsys, tmp_path, command, content
+    ):
+        path = tmp_path / "input.txt"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        assert main([command, "--input", str(path)]) == 2
+        assert capsys.readouterr().out.startswith("error: ")
+
+    @pytest.mark.parametrize("model", ["global", "missing", "corrupt"])
+    def test_serve_refuses_unservable_model(self, capsys, tmp_path, model):
+        path = tmp_path / "model.json"
+        if model == "global":
+            fitted = MARIOH(seed=0, phase2_scope="global", max_epochs=5)
+            fitted.fit(Hypergraph(edges=[[0, 1, 2], [2, 3], [3, 4, 5]]))
+            fitted.save(path)
+        elif model == "corrupt":
+            path.write_text("not a model", encoding="utf-8")
+        assert main(["serve", "--model", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: ")
+        if model == "global":
+            assert "phase2_scope" in out
 
 
 class TestRunGrid:

@@ -20,6 +20,7 @@ from repro.baselines.shyre import MotifFeaturizer
 from repro.core.features import CliqueFeaturizer, StructuralFeaturizer
 from repro.core.filtering import filter_guaranteed_pairs, mhh
 from repro.core.marioh import MARIOH
+from repro.datasets import load
 from repro.hypergraph.graph import WeightedGraph
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.projection import project
@@ -220,3 +221,28 @@ class TestEngineDefault:
         model.fit_reconstruct(source, project(target))
         stats = model.classifier.featurizer.row_cache_stats()
         assert stats["hits"] > 0, stats
+
+    def test_eu_reconstruction_patches_in_place_and_reuses_rows(self):
+        """On the eu analogue at seed 0, in-place CSR patching serves
+        nearly every snapshot mutation (rebuilds only at compaction
+        boundaries) and the feature-row cache serves a real share of
+        the loop's lookups.  Measured: weight patches 1.0, structural
+        patches 0.991, row cache 0.438."""
+        bundle = load("eu", seed=0)
+        model = MARIOH(seed=0)
+        model.fit(bundle.source_hypergraph)
+        featurizer = model.classifier.featurizer
+        featurizer.reset_row_cache()  # count the loop's lookups only
+        model.reconstruct(bundle.target_graph)
+        assert model.n_iterations_ > 0
+
+        patches = model.snapshot_patch_stats_
+        weight = patches["weight_hits"] + patches["weight_misses"]
+        assert patches["weight_hits"] / weight > 0.9, patches
+        structural = (
+            patches["structural_hits"] + patches["structural_misses"]
+        )
+        assert patches["structural_hits"] / structural >= 0.9, patches
+        rows = featurizer.row_cache_stats()
+        assert rows["hits"] > 0, rows
+        assert rows["hit_rate"] > 0.25, rows

@@ -11,7 +11,6 @@ from repro.core.search import (
     _replace_if_present,
     bidirectional_search,
     decay_threshold,
-    sample_subcliques,
     sample_subcliques_stable,
 )
 from repro.hypergraph.graph import WeightedGraph
@@ -64,23 +63,6 @@ class TestReplaceIfPresent:
         vanished = _replace_if_present(frozenset({0, 1, 2}), graph, reconstruction)
         assert vanished == []  # converted, but no edge hit weight zero
         assert graph.weight(0, 1) == 1
-
-
-class TestSampleSubcliques:
-    def test_counts_follow_paper_formula(self, rng):
-        cliques = [frozenset(range(5)), frozenset({10, 11, 12})]
-        sampled = sample_subcliques(cliques, rng)
-        # sum over Q of (|Q| - 2) = 3 + 1, minus possible dedup collisions.
-        assert 1 <= len(sampled) <= 4
-
-    def test_subcliques_are_proper_subsets(self, rng):
-        clique = frozenset(range(6))
-        for sub in sample_subcliques([clique], rng):
-            assert sub < clique
-            assert len(sub) >= 2
-
-    def test_size_two_cliques_yield_nothing(self, rng):
-        assert sample_subcliques([frozenset({0, 1})], rng) == []
 
 
 class TestStableSampling:
@@ -337,7 +319,7 @@ class TestBidirectionalSearch:
         graph = paper_figure3_graph.copy()
         graph, reconstruction, n = bidirectional_search(
             graph, scorer, 0.5, 20.0, reconstruction,
-            rng=np.random.default_rng(0),
+            sample_seed=0,
         )
         assert n > 0
         assert reconstruction.num_unique_edges > 0
@@ -348,7 +330,7 @@ class TestBidirectionalSearch:
         graph = paper_figure3_graph.copy()
         graph, reconstruction, n = bidirectional_search(
             graph, scorer, 0.95, 0.0, reconstruction,
-            rng=np.random.default_rng(0),
+            sample_seed=0,
         )
         assert n == 0
         assert reconstruction.num_unique_edges == 0
@@ -364,7 +346,7 @@ class TestBidirectionalSearch:
         reconstruction = Hypergraph(nodes=graph.nodes)
         graph, reconstruction, n = bidirectional_search(
             graph, scorer, 0.5, 100.0, reconstruction,
-            rng=np.random.default_rng(0),
+            sample_seed=0,
         )
         assert n > 0
         assert all(len(edge) == 2 for edge in reconstruction)
@@ -377,7 +359,7 @@ class TestBidirectionalSearch:
         reconstruction = Hypergraph(nodes=graph.nodes)
         graph, reconstruction, n = bidirectional_search(
             graph, scorer, 0.5, 100.0, reconstruction,
-            rng=np.random.default_rng(0), skip_negative_phase=True,
+            sample_seed=0, skip_negative_phase=True,
         )
         assert n == 0
 
@@ -393,7 +375,7 @@ class TestBidirectionalSearch:
         reconstruction = Hypergraph(nodes=graph.nodes)
         graph, reconstruction, n = bidirectional_search(
             graph, scorer, 0.5, 0.0, reconstruction,
-            rng=np.random.default_rng(0),
+            sample_seed=0,
         )
         assert frozenset({5, 6, 7}) in reconstruction
         assert frozenset({2, 3, 5, 6}) in reconstruction
@@ -403,14 +385,15 @@ class TestBidirectionalSearch:
         with pytest.raises(ValueError):
             bidirectional_search(
                 triangle_graph, scorer, 0.5, 150.0,
-                Hypergraph(nodes=triangle_graph.nodes),
+                Hypergraph(nodes=triangle_graph.nodes), sample_seed=0,
             )
 
     def test_empty_graph_is_noop(self):
         graph = WeightedGraph(nodes=[0, 1])
         scorer = _ConstantScorer({})
         graph, reconstruction, n = bidirectional_search(
-            graph, scorer, 0.5, 20.0, Hypergraph(nodes=graph.nodes)
+            graph, scorer, 0.5, 20.0, Hypergraph(nodes=graph.nodes),
+            sample_seed=0,
         )
         assert n == 0
 

@@ -78,8 +78,9 @@ class TestStructuralPatchFuzz:
             _assert_patched_equals_rebuilt(graph)
         stats = graph.snapshot_patch_stats()
         # With default slack most structural mutations patch in place
-        # (this adversarial mix hammers a 12-node graph; the bench
-        # asserts >= 0.9 on the real reconstruction workload).
+        # (this adversarial mix hammers a 12-node graph; the eu
+        # reconstruction test in test_featurizer_parity.py asserts
+        # >= 0.9).
         assert stats["structural_hits"] > 0
         total = stats["structural_hits"] + stats["structural_misses"]
         assert stats["structural_hits"] / total >= 0.8, stats

@@ -53,7 +53,7 @@ from tests.conftest import structured_triangles_hypergraph
 
 @pytest.fixture(scope="module")
 def model_a() -> MARIOH:
-    fitted = MARIOH(seed=0, max_epochs=20)
+    fitted = MARIOH(seed=0, phase2_scope="component", max_epochs=20)
     fitted.fit(structured_triangles_hypergraph(seed=0, n_groups=8), store=False)
     return fitted
 
@@ -61,7 +61,7 @@ def model_a() -> MARIOH:
 @pytest.fixture(scope="module")
 def model_b() -> MARIOH:
     """Same architecture as ``model_a`` but different trained weights."""
-    fitted = MARIOH(seed=1, max_epochs=20)
+    fitted = MARIOH(seed=1, phase2_scope="component", max_epochs=20)
     fitted.fit(structured_triangles_hypergraph(seed=0, n_groups=8), store=False)
     return fitted
 
