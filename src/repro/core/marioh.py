@@ -24,6 +24,7 @@ Variants (Sect. IV-E ablations):
 from __future__ import annotations
 
 import dataclasses
+import gc
 import logging
 import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -124,7 +125,9 @@ class MARIOH:
         Optional hard cap on search iterations (safety valve for
         experiments; ``None`` runs until the graph empties, which is
         guaranteed to terminate because every iteration with θ = 0
-        converts at least one clique).
+        converts at least one clique).  θ steps the loop skips because
+        they cannot convert anything count as iterations, here and in
+        :attr:`n_iterations_` and provenance.
     engine:
         ``"incremental"`` (the default) maintains the maximal cliques
         with :class:`~repro.core.pool.CliqueCandidatePool` under edge
@@ -364,6 +367,11 @@ class MARIOH:
         results (property-tested).  Fills :attr:`stage_times_`,
         :attr:`n_iterations_`, :attr:`snapshot_patch_stats_`, and - when
         ``record_provenance`` - :attr:`provenance_`.
+
+        The cyclic garbage collector is paused for an unsharded run (if
+        it was enabled): the loop leaves no reference cycles behind, so
+        each collection would only re-walk the live candidates, rows and
+        snapshots it keeps.
         """
         if not self.is_fitted:
             raise RuntimeError("call fit() before reconstruct()")
@@ -371,6 +379,17 @@ class MARIOH:
             from repro.sharding.execute import reconstruct_sharded
 
             return reconstruct_sharded(self, target_graph, sharding)
+        paused = gc.isenabled()
+        if paused:
+            gc.disable()
+        try:
+            return self._reconstruct(target_graph)
+        finally:
+            if paused:
+                gc.enable()
+
+    def _reconstruct(self, target_graph: WeightedGraph) -> Hypergraph:
+        """The unsharded body of :meth:`reconstruct`."""
         reconstruction = Hypergraph(nodes=target_graph.nodes)
         reference_graph = target_graph
         sample_seed = _sampling_seed(self.seed)
@@ -404,13 +423,11 @@ class MARIOH:
         self.engine_fallback_ = None
         theta = self.theta_init
         iterations = 0
+        cap = self.max_iterations
+        if cap is None:
+            cap = float("inf")
         started = time.perf_counter()
-        while not working.is_empty():
-            if (
-                self.max_iterations is not None
-                and iterations >= self.max_iterations
-            ):
-                break
+        while not working.is_empty() and iterations < cap:
             if pool is not None:
                 violation = pool.check_invariants()
                 if violation is not None:
@@ -439,7 +456,7 @@ class MARIOH:
             recorder: Optional[List[Tuple[frozenset, str, float]]] = (
                 [] if self.record_provenance else None
             )
-            working, reconstruction, _ = bidirectional_search(
+            working, reconstruction, converted, best = bidirectional_search(
                 working,
                 self.classifier,
                 theta,
@@ -465,6 +482,18 @@ class MARIOH:
                     )
             theta = decay_threshold(theta, self.theta_init, self.alpha)
             iterations += 1
+            # An iteration that converts nothing changes nothing, so the
+            # next ones would score the same candidates again, and none
+            # converts until θ drops below the best score just seen.
+            # Count those steps without running them.
+            while (
+                not converted
+                and 0.0 < theta
+                and best <= theta
+                and iterations < cap
+            ):
+                theta = decay_threshold(theta, self.theta_init, self.alpha)
+                iterations += 1
         self.stage_times_["bidirectional"] = time.perf_counter() - started
         self.n_iterations_ = iterations
         self.snapshot_patch_stats_ = working.snapshot_patch_stats()

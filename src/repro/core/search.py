@@ -264,7 +264,7 @@ def bidirectional_search(
     *,
     sample_seed: int,
     phase2_scope: str = "global",
-) -> Tuple[WeightedGraph, Hypergraph, int]:
+) -> Tuple[WeightedGraph, Hypergraph, int, float]:
     """One iteration of Algorithm 3, mutating ``graph`` and ``reconstruction``.
 
     Parameters
@@ -305,18 +305,24 @@ def bidirectional_search(
         :func:`phase2_tail_indices`) - the decomposable variant used by
         sharded reconstruction.
 
-    Returns ``(graph, reconstruction, n_converted)`` where the count says
-    how many cliques became hyperedges this iteration.
+    Returns ``(graph, reconstruction, n_converted, top_score)``: how many
+    cliques became hyperedges this iteration, and the highest score it
+    gave a clique or a sampled sub-clique (``-inf`` when it scored
+    nothing).  An iteration that converts nothing leaves ``graph``, its
+    touch stamps and ``pool`` as they were, so a repeat at any
+    ``theta >= top_score`` scores the same candidates and converts
+    nothing either.
     """
     if not 0.0 <= r <= 100.0:
         raise ValueError(f"r must be a percentage in [0, 100], got {r}")
 
     cliques = pool.current() if pool is not None else maximal_cliques_list(graph)
     if not cliques:
-        return graph, reconstruction, 0
+        return graph, reconstruction, 0, float("-inf")
     scores = np.asarray(
         classifier.score(cliques, graph, reference_graph), dtype=np.float64
     )
+    top_score = float(scores.max())
 
     # Stable argsorts keep the tie order of the equivalent Python sorts:
     # descending score (ties by index) for positives, ascending score
@@ -354,6 +360,7 @@ def bidirectional_search(
         )
         if subcliques:
             sub_scores = classifier.score(subcliques, graph, reference_graph)
+            top_score = max(top_score, float(np.max(sub_scores)))
             passing = [
                 (score, subclique)
                 for score, subclique in zip(sub_scores, subcliques)
@@ -370,7 +377,7 @@ def bidirectional_search(
 
     if pool is not None:
         pool.notify_edges_removed(vanished_pairs)
-    return graph, reconstruction, converted
+    return graph, reconstruction, converted, top_score
 
 
 def decay_threshold(theta: float, theta_init: float, alpha: float) -> float:

@@ -20,7 +20,7 @@ from typing import (
     Set,
 )
 
-from repro.hypergraph.graph import Node, WeightedGraph
+from repro.hypergraph.graph import Node, WeightedGraph, connected_components
 
 Clique = FrozenSet[Node]
 
@@ -95,17 +95,32 @@ def _bron_kerbosch(
 
 
 def maximal_cliques(graph: WeightedGraph) -> Iterator[Clique]:
-    """Yield every maximal clique of ``graph`` as a frozenset.
+    """Yield every maximal clique of ``graph`` as a frozenset, in no
+    particular order (:func:`maximal_cliques_list` sorts).
 
     Isolated nodes are *not* reported (a clique needs at least one edge to
     matter for reconstruction); single edges are reported as size-2
     cliques when maximal.
+
+    Each connected component is enumerated on its own.  A component of
+    ``n`` nodes whose degrees sum to ``n(n - 1)`` is complete, so it is
+    its own only maximal clique and needs no search; every other
+    component runs Bron-Kerbosch with ``P`` = its nodes.
     """
-    # The graph caches its neighbor sets (invalidated on mutation), so
-    # repeated enumerations between mutations share one snapshot.
-    neighbor_sets = graph.neighbor_sets()
-    start_p = {u for u, nbrs in neighbor_sets.items() if nbrs}
-    yield from _bron_kerbosch(set(), start_p, set(), neighbor_sets.__getitem__)
+    adj = None
+    for members, n_edges in connected_components(graph, graph.nodes):
+        n = len(members)
+        if n < 2:
+            continue
+        if 2 * n_edges == n * (n - 1):
+            yield frozenset(members)
+            continue
+        if adj is None:
+            # The graph caches its neighbor sets (invalidated on
+            # mutation), so repeated enumerations between mutations
+            # share one snapshot.
+            adj = graph.neighbor_sets().__getitem__
+        yield from _bron_kerbosch(set(), set(members), set(), adj)
 
 
 def maximal_cliques_through(

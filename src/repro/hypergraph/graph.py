@@ -1265,3 +1265,29 @@ class WeightedGraph:
 
     def __repr__(self) -> str:
         return f"WeightedGraph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
+
+
+def connected_components(
+    graph: WeightedGraph, roots: Iterable[Node]
+) -> Iterator[Tuple[List[Node], int]]:
+    """``(sorted members, edge count)`` of each connected component of
+    ``graph`` that holds one of ``roots``, once per component, in the
+    order of its first root.  An isolated root is a one-node component.
+    """
+    adj = graph._adj
+    seen: Set[Node] = set()
+    for root in roots:
+        if root in seen:
+            continue
+        seen.add(root)
+        members = [root]
+        degree_sum = 0
+        for u in members:  # breadth-first: the list is its own queue
+            row = adj.get(u)
+            if row:
+                degree_sum += len(row)
+                fresh = row.keys() - seen
+                seen |= fresh
+                members.extend(fresh)
+        members.sort()
+        yield members, degree_sum // 2

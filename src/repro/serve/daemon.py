@@ -51,6 +51,10 @@ from repro.serve.protocol import (
 #: a future incompatible layout) is rejected on resume.
 CHECKPOINT_FORMAT = "repro-serve"
 CHECKPOINT_VERSION = 1
+#: The shutdown drain ends once no request has arrived for this long,
+#: so a request a client pipelined behind ``shutdown`` is answered even
+#: when its reader thread had not queued it yet.
+DRAIN_IDLE_S = 0.05
 
 logger = logging.getLogger(__name__)
 
@@ -386,8 +390,6 @@ class ReconstructionServer:
                     # responses keep per-connection FIFO order.
                     request = ProtocolError(str(exc))
                 self._queue.put((connection, request))
-                if self._stopping.is_set():
-                    return
         except (OSError, ValueError):
             pass
         finally:
@@ -428,7 +430,7 @@ class ReconstructionServer:
         # still gets an answer before the final checkpoint lands.
         while True:
             try:
-                connection, request = self._queue.get_nowait()
+                connection, request = self._queue.get(timeout=DRAIN_IDLE_S)
             except queue.Empty:
                 break
             self._handle(connection, request)

@@ -51,7 +51,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.hypergraph.graph import Node, WeightedGraph
+from repro.hypergraph.graph import Node, WeightedGraph, connected_components
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.rng import derive_seed
 from repro.sharding.stitch import canonical_edge_list, hypergraph_digest
@@ -149,18 +149,6 @@ def component_digest(
     blob = json.dumps([list(nodes), [list(e) for e in edges]],
                       separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _component_members(graph: WeightedGraph, start: Node) -> List[Node]:
-    """Sorted members of the connected component that holds ``start``."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        for neighbor in graph.neighbors(frontier.pop()):
-            if neighbor not in seen:
-                seen.add(neighbor)
-                frontier.append(neighbor)
-    return sorted(seen)
 
 
 class StreamingReconstructor:
@@ -323,7 +311,7 @@ class StreamingReconstructor:
             result.add_node(start)
             if start in component_of or self.graph.degree(start) == 0:
                 continue
-            members = _component_members(self.graph, start)
+            members, _ = next(connected_components(self.graph, [start]))
             edges = self._component_edges(members)
             components[members[0]] = (members, edges)
             for node in members:

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.hypergraph.graph import Node, WeightedGraph
+from repro.hypergraph.graph import Node, WeightedGraph, connected_components
 from repro.rng import mix64, mix_tokens
 
 
@@ -136,34 +136,6 @@ class ShardPlan:
 
 
 # ----------------------------------------------------------------------
-def _connected_components(
-    graph: WeightedGraph, nodes: Sequence[Node]
-) -> List[List[Node]]:
-    """Components as sorted node lists, ordered by smallest node."""
-    visited = set()
-    components: List[List[Node]] = []
-    for root in nodes:
-        if root in visited:
-            continue
-        visited.add(root)
-        stack = [root]
-        component = []
-        while stack:
-            u = stack.pop()
-            component.append(u)
-            for v in graph.neighbors(u):
-                if v not in visited:
-                    visited.add(v)
-                    stack.append(v)
-        components.append(sorted(component))
-    return components
-
-
-def _component_edges(graph: WeightedGraph, component: Sequence[Node]) -> int:
-    """Internal edge count (all of a component's edges are internal)."""
-    return sum(graph.degree(node) for node in component) // 2
-
-
 def _tie_salts(seed: int, n_nodes: int) -> List[int]:
     """``mix_tokens(seed, ("shard-tie", rank))`` for every rank below
     ``n_nodes``, as one table.
@@ -267,8 +239,7 @@ def partition(
     shards: List[Tuple[Node, ...]] = []
     bin_nodes: List[Node] = []
     bin_edges = 0
-    for component in _connected_components(graph, nodes):
-        edges = _component_edges(graph, component)
+    for component, edges in connected_components(graph, nodes):
         if edges > max_shard_edges:
             if salts is None:
                 salts = _tie_salts(seed, len(nodes))

@@ -106,6 +106,46 @@ class TestMaximalCliques:
             assert any(u in c and v in c for c in cliques)
 
 
+@st.composite
+def block_unions(draw):
+    """A disjoint union of complete blocks of 2-6 nodes, complete blocks
+    missing one edge, G(n, 0.5) blocks and isolated nodes - at most 13
+    nodes, so the brute-force oracle stays cheap - under a random
+    relabeling, so a block's nodes need not be consecutive."""
+    blocks = []
+    total = 0
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        kind = draw(
+            st.sampled_from(["complete", "missing-edge", "random", "isolated"])
+        )
+        size = 1 if kind == "isolated" else draw(st.integers(2, 6))
+        if total + size > 13:
+            break
+        pairs = list(combinations(range(total, total + size), 2))
+        if kind == "missing-edge":
+            pairs.remove(draw(st.sampled_from(pairs)))
+        elif kind == "random":
+            pairs = [pair for pair in pairs if draw(st.booleans())]
+        blocks.append(pairs)
+        total += size
+    label = draw(st.permutations(range(total)))
+    graph = WeightedGraph(nodes=label)
+    for pairs in blocks:
+        for u, v in pairs:
+            graph.add_edge(label[u], label[v], draw(st.integers(1, 3)))
+    return graph
+
+
+class TestMaximalCliquesOracle:
+    @given(block_unions())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_brute_force(self, graph):
+        found = list(maximal_cliques(graph))
+        assert len(found) == len(set(found))
+        assert set(found) == brute_force_maximal_cliques(graph)
+        assert CliqueCandidatePool(graph).matches_rescan()
+
+
 class TestIsMaximalClique:
     def test_maximal(self, triangle_graph):
         assert is_maximal_clique(triangle_graph, [0, 1, 2])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hypergraph.graph import WeightedGraph
+from repro.hypergraph.graph import WeightedGraph, connected_components
 
 
 class TestMutation:
@@ -147,6 +147,18 @@ class TestSubgraphCopy:
         other = triangle_graph.copy()
         other.add_edge(0, 1)
         assert triangle_graph != other
+
+
+class TestConnectedComponents:
+    def test_members_edge_counts_and_root_order(self):
+        graph = WeightedGraph(nodes=[9])
+        for u, v in [(5, 1), (1, 3), (7, 8)]:
+            graph.add_edge(u, v, 2)
+        assert list(connected_components(graph, [8, 9, 3, 7, 5])) == [
+            ([7, 8], 1),
+            ([9], 0),
+            ([1, 3, 5], 2),
+        ]
 
 
 class TestIncrementalInvariants:

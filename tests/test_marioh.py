@@ -1,13 +1,24 @@
 """Unit and integration tests for the MARIOH estimator (Algorithm 1)."""
 
+import gc
+
 import pytest
 
+import repro.core.marioh as marioh_module
 from repro.core.features import CliqueFeaturizer, StructuralFeaturizer
 from repro.core.marioh import MARIOH
+from repro.core.pool import CliqueCandidatePool
+from repro.core.search import bidirectional_search
+from repro.datasets import load
+from repro.datasets.largescale import (
+    LargeScaleConfig,
+    chained_clique_projection,
+)
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.projection import project
 from repro.hypergraph.split import split_source_target
 from repro.metrics.jaccard import jaccard_similarity
+from repro.resilience.errors import InvariantViolation
 from tests.conftest import random_hypergraph, structured_triangles_hypergraph
 
 
@@ -143,3 +154,71 @@ class TestVariants:
         full.reconstruct(project(target))
         # With filtering, the pure-pairs target empties before any search.
         assert full.n_iterations_ == 0
+
+
+class TestCollectorPause:
+    """``reconstruct`` pauses the cyclic garbage collector for its run
+    and leaves it as it found it."""
+
+    @pytest.fixture
+    def fitted(self):
+        hypergraph = structured_triangles_hypergraph(seed=0, n_groups=6)
+        model = MARIOH(seed=0, max_epochs=20).fit(hypergraph)
+        return model, project(hypergraph)
+
+    @pytest.fixture
+    def collector_state(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_paused_inside_and_restored(
+        self, fitted, enabled, collector_state, monkeypatch
+    ):
+        model, graph = fitted
+        seen = []
+
+        def observed(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return bidirectional_search(*args, **kwargs)
+
+        monkeypatch.setattr(marioh_module, "bidirectional_search", observed)
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        model.reconstruct(graph)
+        assert seen and not any(seen)
+        assert gc.isenabled() is enabled
+
+    def test_restored_when_the_run_raises(
+        self, fitted, collector_state, monkeypatch
+    ):
+        model, graph = fitted
+        model.strict_invariants = True
+        monkeypatch.setattr(
+            CliqueCandidatePool, "check_invariants", lambda self: "corrupt"
+        )
+        gc.enable()
+        with pytest.raises(InvariantViolation):
+            model.reconstruct(graph)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("name", ["eu", "chain-2k"])
+    def test_a_reconstruct_leaves_no_cyclic_garbage(self, name):
+        """The premise of the pause: nothing a run frees waits for the
+        collector."""
+        bundle = load("eu", seed=0)
+        graph = (
+            chained_clique_projection(LargeScaleConfig(n_edges=2_000))
+            if name == "chain-2k"
+            else bundle.target_graph
+        )
+        model = MARIOH(seed=0, max_epochs=20).fit(bundle.source_hypergraph)
+        gc.collect()
+        model.reconstruct(graph)
+        assert gc.collect() == 0

@@ -1,11 +1,15 @@
 """Unit tests for the bidirectional search (Algorithm 3)."""
 
+import functools
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+import repro.core.marioh as marioh_module
 from repro.core.classifier import CliqueClassifier
+from repro.core.filtering import filter_guaranteed_pairs
+from repro.core.marioh import MARIOH, _sampling_seed
 from repro.core.pool import CliqueCandidatePool
 from repro.core.search import (
     _replace_if_present,
@@ -13,9 +17,15 @@ from repro.core.search import (
     decay_threshold,
     sample_subcliques_stable,
 )
+from repro.datasets import load
+from repro.datasets.largescale import (
+    LargeScaleConfig,
+    chained_clique_projection,
+)
 from repro.hypergraph.graph import WeightedGraph
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.projection import project
+from repro.sharding.stitch import hypergraph_digest
 from tests.conftest import random_hypergraph
 
 
@@ -317,7 +327,7 @@ class TestBidirectionalSearch:
         scorer = _ConstantScorer({2: 0.9, 3: 0.9, 4: 0.9})
         reconstruction = Hypergraph(nodes=paper_figure3_graph.nodes)
         graph = paper_figure3_graph.copy()
-        graph, reconstruction, n = bidirectional_search(
+        graph, reconstruction, n, top = bidirectional_search(
             graph, scorer, 0.5, 20.0, reconstruction,
             sample_seed=0,
         )
@@ -328,12 +338,13 @@ class TestBidirectionalSearch:
         scorer = _ConstantScorer({2: 0.1, 3: 0.1, 4: 0.1})
         reconstruction = Hypergraph(nodes=paper_figure3_graph.nodes)
         graph = paper_figure3_graph.copy()
-        graph, reconstruction, n = bidirectional_search(
+        graph, reconstruction, n, top = bidirectional_search(
             graph, scorer, 0.95, 0.0, reconstruction,
             sample_seed=0,
         )
         assert n == 0
         assert reconstruction.num_unique_edges == 0
+        assert top == pytest.approx(0.1)
 
     def test_phase2_finds_subcliques(self):
         """Sub-cliques of low-score maximal cliques can still convert."""
@@ -344,7 +355,7 @@ class TestBidirectionalSearch:
         # 2-subsets of the triangle.
         scorer = _ConstantScorer({2: 0.9, 3: 0.1})
         reconstruction = Hypergraph(nodes=graph.nodes)
-        graph, reconstruction, n = bidirectional_search(
+        graph, reconstruction, n, top = bidirectional_search(
             graph, scorer, 0.5, 100.0, reconstruction,
             sample_seed=0,
         )
@@ -357,11 +368,12 @@ class TestBidirectionalSearch:
             graph.add_edge(u, v)
         scorer = _ConstantScorer({2: 0.9, 3: 0.1})
         reconstruction = Hypergraph(nodes=graph.nodes)
-        graph, reconstruction, n = bidirectional_search(
+        graph, reconstruction, n, top = bidirectional_search(
             graph, scorer, 0.5, 100.0, reconstruction,
             sample_seed=0, skip_negative_phase=True,
         )
         assert n == 0
+        assert top == pytest.approx(0.1)  # sub-cliques were never scored
 
     def test_overlapping_cliques_respect_removal_order(self):
         """Fig. 3's (A)/(B) interaction: removing an earlier clique can
@@ -373,7 +385,7 @@ class TestBidirectionalSearch:
         # only if (5,6) hit zero - here w_56 = 2, so both convert.
         scorer = _ConstantScorer({3: 0.99, 4: 0.8, 2: 0.7})
         reconstruction = Hypergraph(nodes=graph.nodes)
-        graph, reconstruction, n = bidirectional_search(
+        graph, reconstruction, n, top = bidirectional_search(
             graph, scorer, 0.5, 0.0, reconstruction,
             sample_seed=0,
         )
@@ -391,11 +403,12 @@ class TestBidirectionalSearch:
     def test_empty_graph_is_noop(self):
         graph = WeightedGraph(nodes=[0, 1])
         scorer = _ConstantScorer({})
-        graph, reconstruction, n = bidirectional_search(
+        graph, reconstruction, n, top = bidirectional_search(
             graph, scorer, 0.5, 20.0, Hypergraph(nodes=graph.nodes),
             sample_seed=0,
         )
         assert n == 0
+        assert top == float("-inf")
 
 
 class TestDecayThreshold:
@@ -404,3 +417,107 @@ class TestDecayThreshold:
 
     def test_floors_at_zero(self):
         assert decay_threshold(0.01, 0.9, 1 / 20) == 0.0
+
+
+def _unskipped_reconstruct(model, graph):
+    """Algorithm 1 as the paper states it: filtering, then one
+    :func:`bidirectional_search` per θ step until the graph empties (or
+    ``model.max_iterations`` steps ran).  Returns the reconstruction,
+    the step count and ``(edge, stage, score, iteration, theta)`` per
+    provenance record."""
+    working, reconstruction = filter_guaranteed_pairs(
+        graph, Hypergraph(nodes=graph.nodes)
+    )
+    records = [(edge, "filtering", None, 0, None) for edge in reconstruction]
+    pool = None
+    if model.engine == "incremental":
+        pool = CliqueCandidatePool(working)
+    theta, iterations = model.theta_init, 0
+    while not working.is_empty() and (
+        model.max_iterations is None or iterations < model.max_iterations
+    ):
+        recorder = []
+        bidirectional_search(
+            working,
+            model.classifier,
+            theta,
+            model.r,
+            reconstruction,
+            reference_graph=graph,
+            pool=pool,
+            recorder=recorder,
+            sample_seed=_sampling_seed(model.seed),
+            phase2_scope=model.phase2_scope,
+        )
+        records.extend(
+            (clique, stage, score, iterations + 1, theta)
+            for clique, stage, score in recorder
+        )
+        theta = decay_threshold(theta, model.theta_init, model.alpha)
+        iterations += 1
+    return reconstruction, iterations, records
+
+
+@functools.lru_cache(maxsize=None)
+def _fitted(name, scope):
+    """Payload bytes of a model fitted on the dataset's source (on eu's
+    for ``chain-2k``, the 2k-edge chained-clique projection) and the
+    graph it reconstructs."""
+    if name == "chain-2k":
+        source = load("eu", seed=0).source_hypergraph
+        graph = chained_clique_projection(LargeScaleConfig(n_edges=2_000))
+    else:
+        bundle = load(name, seed=0)
+        source, graph = bundle.source_hypergraph, bundle.target_graph
+    model = MARIOH(seed=0, max_epochs=20, phase2_scope=scope).fit(source)
+    return model.payload_bytes(), graph
+
+
+class TestDeadThetaStepSkip:
+    """``MARIOH.reconstruct`` jumps over θ steps that cannot convert;
+    the paper's loop, which runs every step, must give the same
+    reconstruction, step count and provenance."""
+
+    def _check(self, name, scope, engine, cap, monkeypatch):
+        payload, graph = _fitted(name, scope)
+        model = MARIOH.loads(payload)
+        model.engine, model.max_iterations = engine, cap
+        model.record_provenance = True
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return bidirectional_search(*args, **kwargs)
+
+        monkeypatch.setattr(marioh_module, "bidirectional_search", counted)
+        reconstruction = model.reconstruct(graph)
+        expected, iterations, records = _unskipped_reconstruct(model, graph)
+        assert hypergraph_digest(reconstruction) == hypergraph_digest(expected)
+        assert model.n_iterations_ == iterations
+        assert [
+            (r.edge, r.stage, r.score, r.iteration, r.theta)
+            for r in model.provenance_
+        ] == records
+        return len(calls), model.n_iterations_
+
+    @pytest.mark.parametrize("engine", ["incremental", "rescan"])
+    @pytest.mark.parametrize("scope", ["global", "component"])
+    @pytest.mark.parametrize("name", ["eu", "dblp", "chain-2k"])
+    def test_matches_the_unskipped_loop(
+        self, name, scope, engine, monkeypatch
+    ):
+        calls, iterations = self._check(
+            name, scope, engine, None, monkeypatch
+        )
+        if name == "chain-2k":
+            assert calls < iterations  # the skip fired
+
+    @pytest.mark.parametrize("engine", ["incremental", "rescan"])
+    @pytest.mark.parametrize("scope", ["global", "component"])
+    def test_cap_inside_a_skipped_run(self, scope, engine, monkeypatch):
+        """The chain's first step converts nothing and the next ones are
+        skipped; a cap of 3 ends the run inside that skipped stretch."""
+        calls, iterations = self._check(
+            "chain-2k", scope, engine, 3, monkeypatch
+        )
+        assert (calls, iterations) == (1, 3)
