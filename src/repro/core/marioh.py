@@ -368,21 +368,23 @@ class MARIOH:
         :attr:`n_iterations_`, :attr:`snapshot_patch_stats_`, and - when
         ``record_provenance`` - :attr:`provenance_`.
 
-        The cyclic garbage collector is paused for an unsharded run (if
-        it was enabled): the loop leaves no reference cycles behind, so
-        each collection would only re-walk the live candidates, rows and
-        snapshots it keeps.
+        The cyclic garbage collector is paused for the run (if it was
+        enabled): the loop leaves no reference cycles behind, so each
+        collection would only re-walk the live candidates, rows and
+        snapshots it keeps.  A sharded run with ``workers > 1`` is not
+        paused, so that the pool's forked workers start with the
+        collector on; each of their cells pauses it in turn.
         """
         if not self.is_fitted:
             raise RuntimeError("call fit() before reconstruct()")
-        if sharding is not None:
-            from repro.sharding.execute import reconstruct_sharded
-
-            return reconstruct_sharded(self, target_graph, sharding)
-        paused = gc.isenabled()
+        paused = gc.isenabled() and (sharding is None or sharding.workers == 1)
         if paused:
             gc.disable()
         try:
+            if sharding is not None:
+                from repro.sharding.execute import reconstruct_sharded
+
+                return reconstruct_sharded(self, target_graph, sharding)
             return self._reconstruct(target_graph)
         finally:
             if paused:

@@ -24,9 +24,10 @@ structure the paper's million-edge scaling argument assumes.
 from __future__ import annotations
 
 import dataclasses
+from typing import Iterator, Tuple
 
 from repro.hypergraph.graph import WeightedGraph
-from repro.rng import mix_tokens
+from repro.rng import MASK64, mix64_int, mix_tokens
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,25 +68,33 @@ def chained_clique_projection(
     byte-identical graph - across runs, platforms, and processes.
     """
     config.validate()
-    graph = WeightedGraph()
+    return WeightedGraph.from_edges(_chain_edges(config, seed))
+
+
+def _chain_edges(
+    config: LargeScaleConfig, seed: int
+) -> Iterator[Tuple[int, int, int]]:
+    """The blocks' pairs and the bridges, in block order."""
     span = config.max_block_size - config.min_block_size + 1
+    # mix_tokens(seed, ("largescale-block", block)) folds the tag first,
+    # so its state after the tag is shared by every block.
+    tagged = mix_tokens(seed, ("largescale-block",))
     next_node = 0
     previous_anchor = None
     block = 0
     edges = 0
     while edges < config.n_edges:
         size = config.min_block_size + (
-            mix_tokens(seed, ("largescale-block", block)) % span
+            mix64_int(tagged ^ (block & MASK64)) % span
         )
-        members = range(next_node, next_node + size)
-        for i in members:
-            for j in range(i + 1, next_node + size):
-                graph.add_edge(i, j)
+        end = next_node + size
+        for i in range(next_node, end):
+            for j in range(i + 1, end):
+                yield i, j, 1
         edges += size * (size - 1) // 2
         if previous_anchor is not None:
-            graph.add_edge(previous_anchor, next_node, config.bridge_weight)
+            yield previous_anchor, next_node, config.bridge_weight
             edges += 1
-        previous_anchor = next_node + size - 1
-        next_node += size
+        previous_anchor = end - 1
+        next_node = end
         block += 1
-    return graph

@@ -12,11 +12,21 @@ Two knobs create the higher-order signal MARIOH exploits:
 
 Timestamps are sequential emission indices, so the time-based
 source/target split behaves like the paper's.
+
+The two weighted draws - an interaction's size and a community's
+members - read cumulative tables built once per generation
+(inverse-transform sampling, Devroye 1986) instead of calling
+``Generator.choice(..., p=...)``, which re-validates and re-accumulates
+the same weights on every call.  They consume the generator's stream
+exactly as ``choice`` does, so every output is identical to what
+``choice`` would draw (property-tested in ``tests/test_datasets.py``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,6 +81,69 @@ class GroupInteractionConfig:
             )
         if not 0.0 <= self.repeat_prob + self.nested_prob <= 1.0:
             raise ValueError("repeat_prob + nested_prob must be within [0, 1]")
+        if not (math.isfinite(self.concentration) and self.concentration > 0):
+            raise ValueError(
+                "concentration must be finite and > 0, got "
+                f"{self.concentration}"
+            )
+        weights = np.asarray(self.size_weights, dtype=np.float64)
+        if (
+            weights.ndim != 1
+            or len(weights) == 0
+            or not np.isfinite(weights).all()
+            or (weights < 0).any()
+            or not 0.0 < weights.sum() < math.inf
+        ):
+            raise ValueError(
+                "size_weights must be a non-empty sequence of finite, "
+                f"non-negative weights with a positive sum, got "
+                f"{tuple(self.size_weights)}"
+            )
+
+
+def cumulative_table(weights: np.ndarray) -> np.ndarray:
+    """The normalized cumulative sums ``Generator.choice`` draws from."""
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def draw_index(rng: np.random.Generator, cdf: Sequence[float]) -> int:
+    """One index drawn like ``rng.choice(len(cdf), p=weights)``.
+
+    ``cdf`` is :func:`cumulative_table` of ``weights`` (a list is
+    fastest); ``bisect_right`` is ``searchsorted(side="right")``.
+    """
+    return bisect_right(cdf, rng.random())
+
+
+def draw_distinct(
+    rng: np.random.Generator,
+    weights: np.ndarray,
+    cdf: Sequence[float],
+    k: int,
+) -> List[int]:
+    """``k`` distinct indices drawn like
+    ``rng.choice(len(weights), size=k, replace=False, p=weights)``.
+
+    ``cdf`` is :func:`cumulative_table` of ``weights``, and ``weights``
+    must have at least ``k`` non-zero entries.  As ``choice`` does, it
+    draws ``k`` uniforms, keeps the first occurrence of each index, and
+    while some are missing zeroes the found weights and draws only the
+    shortfall from the renormalized table.  A zero weight spans an empty
+    interval of its table, so a redraw can never repeat a found index.
+    """
+    draws = rng.random(k).tolist()
+    found = list(dict.fromkeys(bisect_right(cdf, x) for x in draws))
+    if len(found) < k:
+        remaining = weights.copy()
+        while len(found) < k:
+            remaining[found] = 0.0
+            fresh = cumulative_table(remaining).searchsorted(
+                rng.random(k - len(found)), side="right"
+            )
+            found.extend(dict.fromkeys(fresh.tolist()))
+    return found
 
 
 def generate_group_hypergraph(
@@ -94,17 +167,21 @@ def generate_group_hypergraph(
         c: np.flatnonzero(assignment == c) for c in range(config.n_communities)
     }
 
-    # Popularity of each node inside its community (preferential pick).
+    # Popularity of each node inside its community (preferential pick),
+    # with its cumulative table and the count of members it can pick.
     popularity: Dict[int, np.ndarray] = {}
+    popularity_cdf: Dict[int, List[float]] = {}
+    support: Dict[int, int] = {}
     for community, members in members_of.items():
         weights = rng.dirichlet(
             np.full(len(members), config.concentration)
         )
         popularity[community] = weights
+        popularity_cdf[community] = cumulative_table(weights).tolist()
+        support[community] = int(np.count_nonzero(weights))
 
-    sizes = np.arange(2, 2 + len(config.size_weights))
     size_probs = np.asarray(config.size_weights, dtype=np.float64)
-    size_probs = size_probs / size_probs.sum()
+    size_cdf = cumulative_table(size_probs / size_probs.sum()).tolist()
 
     hypergraph = Hypergraph(nodes=range(config.n_nodes))
     timestamps: Dict[Edge, int] = {}
@@ -113,12 +190,15 @@ def generate_group_hypergraph(
     def sample_members(k: int) -> Optional[List[int]]:
         if rng.random() < config.intra_prob or config.n_communities == 1:
             community = int(rng.integers(config.n_communities))
-            pool = members_of[community]
-            weights = popularity[community]
-            if len(pool) < k:
+            # Fewer than k members with non-zero popularity (or fewer
+            # than k members at all): no k distinct picks exist.
+            if support[community] < k:
                 return None
-            picks = rng.choice(pool, size=k, replace=False, p=weights)
-            return [int(p) for p in picks]
+            pool = members_of[community]
+            picks = draw_distinct(
+                rng, popularity[community], popularity_cdf[community], k
+            )
+            return [int(pool[i]) for i in picks]
         first, second = rng.choice(config.n_communities, size=2, replace=False)
         pool = np.concatenate([members_of[int(first)], members_of[int(second)]])
         if len(pool) < k:
@@ -143,7 +223,7 @@ def generate_group_hypergraph(
                 chosen = rng.choice(len(members), size=k, replace=False)
                 edge = frozenset(members[int(i)] for i in chosen)
         if edge is None:
-            k = int(rng.choice(sizes, p=size_probs))
+            k = 2 + draw_index(rng, size_cdf)
             members = sample_members(k)
             if members is None:
                 continue

@@ -66,7 +66,6 @@ def line_graph(hypergraph: Hypergraph) -> WeightedGraph:
     """The line graph: one node per unique hyperedge (indexed by sorted
     order), edges weighted by intersection size."""
     edges: List[Edge] = sorted(hypergraph.edges(), key=sorted)
-    graph = WeightedGraph(nodes=range(len(edges)))
     by_node: Dict[int, List[int]] = {}
     for index, edge in enumerate(edges):
         for node in edge:
@@ -77,9 +76,10 @@ def line_graph(hypergraph: Hypergraph) -> WeightedGraph:
             for b in indices[i + 1 :]:
                 key = (a, b) if a < b else (b, a)
                 weights[key] = weights.get(key, 0) + 1
-    for (a, b), shared in weights.items():
-        graph.add_edge(a, b, shared)
-    return graph
+    return WeightedGraph.from_edges(
+        ((a, b, shared) for (a, b), shared in weights.items()),
+        nodes=range(len(edges)),
+    )
 
 
 def dual_hypergraph(hypergraph: Hypergraph) -> Hypergraph:

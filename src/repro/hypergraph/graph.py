@@ -43,6 +43,12 @@ re-featurizes only the cliques through a touched node.
 A clique conversion (:meth:`WeightedGraph.decrement_clique`) walks its
 pairs once, updating the dicts and counters inline and tombstoning all
 of its vanished pairs in one snapshot patch.
+
+A graph built from a list of weighted pairs - a projection, a parsed
+file, a decoded payload - goes through :meth:`WeightedGraph.from_edges`,
+which fills the adjacency exactly as an ``add_edge`` loop would but sets
+the counters once and stamps nothing, like :meth:`WeightedGraph.copy`.
+``add_edge`` is for live edits.
 """
 
 from __future__ import annotations
@@ -84,6 +90,15 @@ _SCALAR_TOMBSTONE_MAX = 8
 
 def _ordered(u: Node, v: Node) -> Tuple[Node, Node]:
     return (u, v) if u <= v else (v, u)
+
+
+def check_increment(u: Node, v: Node, weight: int) -> None:
+    """Raise ``ValueError`` unless ``weight`` may be added to ``{u, v}``:
+    self-loops are not allowed and increments are at least 1."""
+    if u == v:
+        raise ValueError(f"self-loops are not allowed (node {u})")
+    if weight < 1:
+        raise ValueError(f"edge weight increments must be >= 1, got {weight}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -532,6 +547,47 @@ class WeightedGraph:
             for node in nodes:
                 self.add_node(node)
 
+    @classmethod
+    def from_edges(
+        cls,
+        edges: Iterable[Tuple[Node, Node, int]],
+        nodes: Iterable[Node] = (),
+    ) -> "WeightedGraph":
+        """The graph of ``nodes`` plus the weighted pairs ``edges``.
+
+        The one way to build a graph from a pair list.  The adjacency
+        equals - dict and row order included - that of
+        ``WeightedGraph(nodes)`` followed by ``add_edge(u, v, w)`` per
+        ``(u, v, w)`` triple: a repeated pair adds up, and self-loops
+        and increments below 1 raise as in :meth:`add_edge`.  Unlike
+        that loop it sets the counters once and stamps no node, as
+        :meth:`copy` does; the reconstruction loop and the fit only ever
+        mutate copies, so no output depends on an input's stamps.
+        """
+        graph = cls()
+        adj = graph._adj
+        for node in nodes:
+            if node not in adj:
+                adj[node] = {}
+        total = 0
+        for u, v, w in edges:
+            if u == v or w < 1:
+                check_increment(u, v, w)
+            row = adj.get(u)
+            if row is None:
+                row = adj[u] = {}
+            other = adj.get(v)
+            if other is None:
+                other = adj[v] = {}
+            row[v] = other[u] = row.get(v, 0) + w
+            total += w
+        graph._weighted_degree = {
+            u: sum(row.values()) for u, row in adj.items()
+        }
+        graph._num_edges = sum(map(len, adj.values())) // 2
+        graph._total_weight = total
+        return graph
+
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
@@ -652,10 +708,7 @@ class WeightedGraph:
 
     def add_edge(self, u: Node, v: Node, weight: int = 1) -> None:
         """Add ``weight`` to the multiplicity of edge ``{u, v}``."""
-        if u == v:
-            raise ValueError(f"self-loops are not allowed (node {u})")
-        if weight < 1:
-            raise ValueError(f"edge weight increments must be >= 1, got {weight}")
+        check_increment(u, v, weight)
         self.add_node(u)
         self.add_node(v)
         current = self._adj[u].get(v, 0)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import io
 from pathlib import Path
-from typing import Union
+from typing import Dict, List, Tuple, Union
 
-from repro.hypergraph.graph import WeightedGraph
+from repro.hypergraph.graph import WeightedGraph, check_increment
 from repro.hypergraph.hypergraph import Hypergraph
 
 PathLike = Union[str, Path]
@@ -74,8 +74,14 @@ def write_weighted_graph(graph: WeightedGraph, path: PathLike) -> None:
 
 
 def read_weighted_graph(path: PathLike) -> WeightedGraph:
-    """Parse the format produced by :func:`write_weighted_graph`."""
-    graph = WeightedGraph()
+    """Parse the format produced by :func:`write_weighted_graph`.
+
+    Nodes are listed to :meth:`WeightedGraph.from_edges` in order of
+    first appearance, so the adjacency is the one a line-by-line
+    ``add_node`` / ``add_edge`` replay would build.
+    """
+    nodes: Dict[int, None] = {}
+    edges: List[Tuple[int, int, int]] = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -84,16 +90,18 @@ def read_weighted_graph(path: PathLike) -> WeightedGraph:
             tokens = line.split()
             try:
                 if len(tokens) == 1:
-                    graph.add_node(int(tokens[0]))
+                    nodes[int(tokens[0])] = None
                 elif len(tokens) in (2, 3):
                     u, v = int(tokens[0]), int(tokens[1])
                     w = int(tokens[2]) if len(tokens) == 3 else 1
-                    graph.add_edge(u, v, w)
+                    check_increment(u, v, w)
+                    nodes[u] = nodes[v] = None
+                    edges.append((u, v, w))
                 else:
                     raise ValueError("expected 1-3 tokens")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad line {line!r}") from exc
-    return graph
+    return WeightedGraph.from_edges(edges, nodes)
 
 
 def hypergraph_to_string(hypergraph: Hypergraph) -> str:

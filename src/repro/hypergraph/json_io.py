@@ -79,10 +79,13 @@ def graph_from_dict(payload: dict) -> WeightedGraph:
         )
     if payload.get("version") != VERSION:
         raise ValueError(f"unsupported version {payload.get('version')!r}")
-    graph = WeightedGraph(nodes=payload.get("nodes", ()))
-    for entry in payload.get("edges", ()):
-        graph.add_edge(entry["u"], entry["v"], entry.get("weight", 1))
-    return graph
+    return WeightedGraph.from_edges(
+        (
+            (entry["u"], entry["v"], entry.get("weight", 1))
+            for entry in payload.get("edges", ())
+        ),
+        nodes=payload.get("nodes", ()),
+    )
 
 
 def write_hypergraph_json(hypergraph: Hypergraph, path: PathLike) -> None:

@@ -19,11 +19,14 @@ def project(hypergraph: Hypergraph) -> WeightedGraph:
     Every hyperedge of size k contributes +M_H(e) to the weight of each of
     its C(k, 2) node pairs.  Isolated nodes of the hypergraph are kept.
     """
-    graph = WeightedGraph(nodes=hypergraph.nodes)
-    for edge, multiplicity in hypergraph.items():
-        for u, v in combinations(sorted(edge), 2):
-            graph.add_edge(u, v, multiplicity)
-    return graph
+    return WeightedGraph.from_edges(
+        (
+            (u, v, multiplicity)
+            for edge, multiplicity in hypergraph.items()
+            for u, v in combinations(sorted(edge), 2)
+        ),
+        nodes=hypergraph.nodes,
+    )
 
 
 def unweighted_projection(hypergraph: Hypergraph) -> WeightedGraph:
@@ -32,9 +35,10 @@ def unweighted_projection(hypergraph: Hypergraph) -> WeightedGraph:
     This is the input available to multiplicity-oblivious baselines
     (SHyRe's main setting, Bayesian-MDL, community detection methods).
     """
-    graph = WeightedGraph(nodes=hypergraph.nodes)
-    for edge in hypergraph:
-        for u, v in combinations(sorted(edge), 2):
-            if not graph.has_edge(u, v):
-                graph.add_edge(u, v, 1)
-    return graph
+    # Each pair once, in first-occurrence order.
+    pairs = dict.fromkeys(
+        pair for edge in hypergraph for pair in combinations(sorted(edge), 2)
+    )
+    return WeightedGraph.from_edges(
+        ((u, v, 1) for u, v in pairs), nodes=hypergraph.nodes
+    )

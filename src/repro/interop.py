@@ -33,16 +33,18 @@ def from_networkx(graph: "nx.Graph") -> WeightedGraph:
     Missing ``weight`` attributes default to 1; non-integer weights are
     rejected because edge multiplicities are counts.
     """
-    result = WeightedGraph(nodes=graph.nodes)
-    for u, v, data in graph.edges(data=True):
-        weight = data.get("weight", 1)
-        if int(weight) != weight or weight < 1:
-            raise ValueError(
-                f"edge ({u}, {v}) weight {weight!r} is not a positive integer "
-                "multiplicity"
-            )
-        result.add_edge(u, v, int(weight))
-    return result
+
+    def triples():
+        for u, v, data in graph.edges(data=True):
+            weight = data.get("weight", 1)
+            if int(weight) != weight or weight < 1:
+                raise ValueError(
+                    f"edge ({u}, {v}) weight {weight!r} is not a positive "
+                    "integer multiplicity"
+                )
+            yield u, v, int(weight)
+
+    return WeightedGraph.from_edges(triples(), nodes=graph.nodes)
 
 
 def hypergraph_to_bipartite(

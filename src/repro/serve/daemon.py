@@ -37,6 +37,7 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.hypergraph.graph import WeightedGraph
 from repro.resilience.checkpoint import CheckpointStore
 from repro.serve.engine import StreamingReconstructor
 from repro.serve.protocol import (
@@ -341,11 +342,10 @@ class ReconstructionServer:
                 f"{current_model}; refusing to resume state produced by "
                 f"a different model"
             )
-        graph = self.engine.graph
-        for node in payload.get("nodes", []):
-            graph.add_node(int(node))
-        for u, v, w in payload.get("edges", []):
-            graph.add_edge(int(u), int(v), int(w))
+        self.engine.graph = WeightedGraph.from_edges(
+            ((int(u), int(v), int(w)) for u, v, w in payload.get("edges", [])),
+            nodes=(int(node) for node in payload.get("nodes", [])),
+        )
         self.engine.stats["edits_applied"] = int(payload["edits_applied"])
         digest = self.engine.digest()
         if digest != payload.get("digest"):

@@ -365,10 +365,9 @@ class StreamingReconstructor:
         if violation is None:
             return None
         self.stats["invariant_rebuilds"] += 1
-        rebuilt = WeightedGraph(nodes=self.graph.nodes)
-        for u, v, weight in self.graph.edges_with_weights():
-            rebuilt.add_edge(u, v, weight)
-        self.graph = rebuilt
+        self.graph = WeightedGraph.from_edges(
+            self.graph.edges_with_weights(), nodes=self.graph.nodes
+        )
         self._cache.clear()
         self._result = None
         self._result_version = -1

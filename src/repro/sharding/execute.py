@@ -225,9 +225,10 @@ def _materialize_workdir(
         "model_sha256": model_sha256,
         "shard_sha256": shard_hashes,
     }
+    # One line: an indented dump takes the pure-Python encoder, whose
+    # closures leave a reference cycle for the paused collector.
     atomic_write_text(
-        workdir / MANIFEST_FILE,
-        json.dumps(manifest, sort_keys=True, indent=2),
+        workdir / MANIFEST_FILE, json.dumps(manifest, sort_keys=True)
     )
     return manifest
 

@@ -126,8 +126,11 @@ class ShardPlan:
         )
 
     def to_json(self, path) -> None:
+        # dumps, not dump: json.dump always takes the pure-Python
+        # encoder, whose closures leave a reference cycle per call.
+        text = json.dumps(self.as_dict(), sort_keys=True)
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.as_dict(), handle, sort_keys=True)
+            handle.write(text)
 
     @classmethod
     def from_json(cls, path) -> "ShardPlan":

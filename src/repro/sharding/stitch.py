@@ -60,10 +60,7 @@ def hypergraph_digest(hypergraph: Hypergraph) -> str:
 
 def boundary_graph(plan: ShardPlan) -> WeightedGraph:
     """The cut edges of ``plan`` as a weighted graph."""
-    graph = WeightedGraph()
-    for u, v, weight in plan.boundary:
-        graph.add_edge(u, v, weight)
-    return graph
+    return WeightedGraph.from_edges(plan.boundary)
 
 
 def stitch(

@@ -61,10 +61,10 @@ def graph_payload(graph: WeightedGraph) -> Dict[str, object]:
 
 
 def graph_from_payload(payload: Dict[str, object]) -> WeightedGraph:
-    graph = WeightedGraph(nodes=payload["nodes"])
-    for u, v, w in payload["edges"]:
-        graph.add_edge(u, v, int(w))
-    return graph
+    return WeightedGraph.from_edges(
+        ((u, v, int(w)) for u, v, w in payload["edges"]),
+        nodes=payload["nodes"],
+    )
 
 
 #: (payload field, bundle attribute) of every hypergraph in a bundle.

@@ -1,6 +1,9 @@
 """Unit tests for the WeightedGraph substrate."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hypergraph.graph import WeightedGraph, connected_components
 
@@ -147,6 +150,70 @@ class TestSubgraphCopy:
         other = triangle_graph.copy()
         other.add_edge(0, 1)
         assert triangle_graph != other
+
+
+@st.composite
+def triple_lists(draw):
+    """``(nodes, triples)`` over a few node ids, so pairs repeat (in both
+    orientations) and listed nodes overlap the edges' endpoints."""
+    ids = st.integers(min_value=0, max_value=7)
+    pairs = st.tuples(ids, ids).filter(lambda pair: pair[0] != pair[1])
+    triples = draw(
+        st.lists(
+            st.tuples(pairs, st.integers(min_value=1, max_value=4)).map(
+                lambda item: (*item[0], item[1])
+            ),
+            max_size=30,
+        )
+    )
+    return draw(st.lists(st.integers(0, 9), max_size=6)), triples
+
+
+def _snapshot_arrays(graph):
+    snapshot = graph.snapshot()
+    return {
+        name: getattr(snapshot, name)
+        for name in ("node_ids", "indptr", "nbr", "wts", "keys", "degrees",
+                     "weighted_degrees", "alive", "row_free")
+    }
+
+
+class TestFromEdges:
+    """The bulk constructor builds what an ``add_edge`` loop builds."""
+
+    @given(triple_lists())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_an_add_edge_loop(self, case):
+        nodes, triples = case
+        looped = WeightedGraph(nodes=nodes)
+        for u, v, w in triples:
+            looped.add_edge(u, v, w)
+        bulk = WeightedGraph.from_edges(iter(triples), nodes=iter(nodes))
+        # Dict order, rows included: it reaches every consumer that
+        # walks the adjacency (edges(), the fit's negative sampling).
+        assert [(u, list(row.items())) for u, row in bulk._adj.items()] == [
+            (u, list(row.items())) for u, row in looped._adj.items()
+        ]
+        assert list(bulk._weighted_degree.items()) == list(
+            looped._weighted_degree.items()
+        )
+        assert bulk.num_edges == looped.num_edges
+        assert bulk.total_weight() == looped.total_weight()
+        expected = _snapshot_arrays(looped)
+        for name, array in _snapshot_arrays(bulk).items():
+            assert np.array_equal(array, expected[name]), name
+        # Counters set once, no stamps: the state copy() leaves.
+        assert bulk.version == bulk.structure_version == 0
+        assert bulk.touched_since(-1) == []
+        assert bulk.clique_touch_count(bulk.nodes) == 0
+
+    @pytest.mark.parametrize(
+        ("triple", "message"),
+        [((3, 3, 1), "self-loops"), ((1, 2, 0), "increments")],
+    )
+    def test_rejects_what_add_edge_rejects(self, triple, message):
+        with pytest.raises(ValueError, match=message):
+            WeightedGraph.from_edges([(0, 1, 1), triple])
 
 
 class TestConnectedComponents:

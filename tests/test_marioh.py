@@ -1,10 +1,12 @@
 """Unit and integration tests for the MARIOH estimator (Algorithm 1)."""
 
 import gc
+import multiprocessing
 
 import pytest
 
 import repro.core.marioh as marioh_module
+import repro.sharding.execute as execute_module
 from repro.core.features import CliqueFeaturizer, StructuralFeaturizer
 from repro.core.marioh import MARIOH
 from repro.core.pool import CliqueCandidatePool
@@ -19,6 +21,7 @@ from repro.hypergraph.projection import project
 from repro.hypergraph.split import split_source_target
 from repro.metrics.jaccard import jaccard_similarity
 from repro.resilience.errors import InvariantViolation
+from repro.sharding import ShardingConfig
 from tests.conftest import random_hypergraph, structured_triangles_hypergraph
 
 
@@ -208,17 +211,81 @@ class TestCollectorPause:
             model.reconstruct(graph)
         assert gc.isenabled()
 
-    @pytest.mark.parametrize("name", ["eu", "chain-2k"])
+    def _observe_cells(self, monkeypatch, observe):
+        """Call ``observe(payload)`` at the start of every shard cell."""
+        original = execute_module.execute_shard_cell
+
+        def observed(payload):
+            observe(payload)
+            return original(payload)
+
+        monkeypatch.setattr(execute_module, "execute_shard_cell", observed)
+
+    def test_paused_inside_an_inline_shard_cell(
+        self, fitted, collector_state, monkeypatch
+    ):
+        model, graph = fitted
+        seen = []
+        self._observe_cells(monkeypatch, lambda _: seen.append(gc.isenabled()))
+        gc.enable()
+        model.reconstruct(graph, sharding=ShardingConfig(max_shard_edges=10))
+        assert len(seen) > 1 and not any(seen)
+        assert gc.isenabled()
+
+    def test_on_inside_a_pooled_cell(
+        self, fitted, collector_state, monkeypatch, tmp_path
+    ):
+        """A forked pool worker starts with its parent's collector
+        state, so a pooled run must not pause the parent."""
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("only a forked worker inherits the collector state")
+        model, graph = fitted
+
+        def record(payload):
+            cell = tmp_path / f"cell-{payload['seed_index']}"
+            cell.write_text(str(gc.isenabled()))
+
+        self._observe_cells(monkeypatch, record)
+        gc.enable()
+        model.reconstruct(
+            graph, sharding=ShardingConfig(max_shard_edges=10, workers=2)
+        )
+        states = [cell.read_text() for cell in tmp_path.glob("cell-*")]
+        assert len(states) > 1 and set(states) == {"True"}
+        assert gc.isenabled()
+
+    def test_restored_when_a_shard_cell_raises(
+        self, fitted, collector_state, monkeypatch
+    ):
+        model, graph = fitted
+
+        def fail(payload):
+            raise RuntimeError("injected shard failure")
+
+        self._observe_cells(monkeypatch, fail)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="quarantined"):
+            model.reconstruct(
+                graph, sharding=ShardingConfig(max_shard_edges=10)
+            )
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("name", ["eu", "chain-2k", "chain-2k-sharded"])
     def test_a_reconstruct_leaves_no_cyclic_garbage(self, name):
         """The premise of the pause: nothing a run frees waits for the
         collector."""
         bundle = load("eu", seed=0)
         graph = (
             chained_clique_projection(LargeScaleConfig(n_edges=2_000))
-            if name == "chain-2k"
+            if name.startswith("chain-2k")
             else bundle.target_graph
+        )
+        sharding = (
+            ShardingConfig(max_shard_edges=500)
+            if name.endswith("sharded")
+            else None
         )
         model = MARIOH(seed=0, max_epochs=20).fit(bundle.source_hypergraph)
         gc.collect()
-        model.reconstruct(graph)
+        model.reconstruct(graph, sharding=sharding)
         assert gc.collect() == 0

@@ -144,3 +144,34 @@ class TestGraphIO:
         path.write_text("1 2 3 4\n")
         with pytest.raises(ValueError):
             read_weighted_graph(path)
+
+    @pytest.mark.parametrize(
+        "bad", ["3 3 1", "1 2 0", "1 2 3 4", "1 x 2"],
+        ids=["self-loop", "zero-weight", "four-tokens", "non-integer"],
+    )
+    def test_bad_line_is_named(self, tmp_path, bad):
+        path = tmp_path / "g.txt"
+        path.write_text(f"0 1 2\n# note\n{bad}\n5 6\n")
+        with pytest.raises(ValueError, match=f":3: bad line '{bad}'"):
+            read_weighted_graph(path)
+
+    def test_adjacency_order_of_a_line_by_line_replay(self, tmp_path):
+        """An isolate line before the node's edges places its row where
+        an add_node / add_edge replay of the file would."""
+        lines = ["3 4", "5", "1 5 2", "5 9", "7", "4 3 1"]
+        path = tmp_path / "g.txt"
+        path.write_text("\n".join(lines) + "\n")
+        replay = WeightedGraph()
+        for line in lines:
+            tokens = [int(token) for token in line.split()]
+            if len(tokens) == 1:
+                replay.add_node(tokens[0])
+            else:
+                replay.add_edge(*tokens)
+        loaded = read_weighted_graph(path)
+        assert [(u, list(row.items())) for u, row in loaded._adj.items()] == [
+            (u, list(row.items())) for u, row in replay._adj.items()
+        ]
+        assert list(loaded.edges_with_weights()) == [
+            (3, 4, 2), (5, 9, 1), (1, 5, 2)
+        ]
