@@ -85,7 +85,7 @@ class MotifFeaturizer(StructuralFeaturizer):
         extra = _five_stats(common_counts) + _five_stats(clustering)
         return np.concatenate([base, np.asarray(extra)])
 
-    def featurize_many(self, cliques, graph, reference_graph=None):
+    def _compute_rows(self, cliques, graph, reference):
         """Vectorized batch path mirroring the scalar ``featurize``.
 
         The base 13 columns come from the shared structural kernel; the
@@ -94,17 +94,6 @@ class MotifFeaturizer(StructuralFeaturizer):
         computed once per unique member node via batched neighbor
         intersections.
         """
-        if not cliques:
-            return np.zeros((0, self.n_features))
-        if type(self).featurize is not MotifFeaturizer.featurize:
-            # A subclass customized the per-clique features; fall back to
-            # the scalar path so its override keeps applying.
-            return np.vstack(
-                [self.featurize(clique, graph, reference_graph) for clique in cliques]
-            )
-        return self._cached_featurize_many(cliques, graph, reference_graph)
-
-    def _compute_rows(self, cliques, graph, reference):
         batch = _prepare_batch(cliques, graph)
         base = _structural_feature_matrix(
             cliques, graph, reference, batch=batch

@@ -12,8 +12,7 @@ Commands
     Report storage savings of hypergraph vs projected-graph form.
 ``run-grid``
     Shard a (method x dataset x seed) experiment grid over worker
-    processes with checkpoint/resume, or drive a ``benchmarks/bench_*``
-    script with a worker count.
+    processes with checkpoint/resume.
 ``serve``
     Run the streaming reconstruction daemon: a long-lived line-JSON TCP
     service that accepts projected-graph edits, keeps the reconstruction
@@ -160,10 +159,9 @@ def _apply_store_args(args: argparse.Namespace) -> None:
     """Export the ``--store``/``--no-store`` choice as ``REPRO_STORE``.
 
     The environment variable - not Python state - is the source of
-    truth, so orchestrator pool workers and ``--bench`` subprocesses
-    (which inherit the environment) resolve the same store as the
-    coordinator.  An empty value disables the store even when the
-    parent environment set one.
+    truth, so orchestrator pool workers (which inherit the environment)
+    resolve the same store as the coordinator.  An empty value disables
+    the store even when the parent environment set one.
     """
     if getattr(args, "no_store", False):
         os.environ["REPRO_STORE"] = ""
@@ -371,11 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed of the fault-injection stream (with --inject-faults)",
     )
     grid.add_argument("--output", help="write the full grid result JSON here")
-    grid.add_argument(
-        "--bench",
-        help="instead of an inline grid, drive benchmarks/bench_<NAME>.py "
-        "through pytest, forwarding --workers",
-    )
 
     serve = commands.add_parser(
         "serve", help="run the streaming reconstruction daemon"
@@ -427,9 +420,6 @@ def _cmd_run_grid(args: argparse.Namespace) -> int:
         format_quarantine_table,
         format_resilience_summary,
     )
-
-    if args.bench:
-        return _drive_bench(args.bench, args.workers)
 
     if args.preset:
         spec = preset_grid(args.preset, seeds=args.seeds)
@@ -534,33 +524,6 @@ def _cmd_run_grid(args: argparse.Namespace) -> int:
             json.dump(payload, handle, indent=2, sort_keys=True)
         print(f"wrote grid result to {args.output}")
     return 1 if result.failures else 0
-
-
-def _drive_bench(name: str, workers: int) -> int:
-    """Run one benchmarks/bench_*.py script through pytest with --workers."""
-    import subprocess
-    from pathlib import Path
-
-    stem = name if name.startswith("bench_") else f"bench_{name}"
-    repo_root = Path(__file__).resolve().parents[2]
-    script = repo_root / "benchmarks" / f"{stem}.py"
-    if not script.exists():
-        candidates = sorted(
-            p.stem for p in (repo_root / "benchmarks").glob("bench_*.py")
-        )
-        print(f"no such benchmark {script.name!r}; known: {', '.join(candidates)}")
-        return 2
-    env = dict(os.environ)
-    src = str(repo_root / "src")
-    env["PYTHONPATH"] = (
-        src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    )
-    command = [
-        sys.executable, "-m", "pytest", "-q", str(script),
-        "--workers", str(workers),
-    ]
-    print("driving:", " ".join(command))
-    return subprocess.call(command, env=env, cwd=repo_root)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

@@ -79,26 +79,17 @@ class CliqueClassifier:
         max_epochs: int = 150,
         learning_rate: float = 1e-3,
         seed: Optional[int] = None,
-        batch_size: Optional[int] = 64,
-        shuffle: str = "sequential",
     ) -> None:
         if negative_ratio <= 0:
             raise ValueError(f"negative_ratio must be positive, got {negative_ratio}")
         self.featurizer = featurizer if featurizer is not None else CliqueFeaturizer()
         self.negative_ratio = negative_ratio
         self.seed = seed
-        # batch_size / shuffle pass straight through to the MLP: the
-        # defaults keep training bit-identical to the historical
-        # full-default configuration, `batch_size=None` switches to
-        # one full-batch Adam step per epoch, and `shuffle="counter"`
-        # decouples the epoch permutations from the init/holdout RNG.
         self._mlp = MLPClassifier(
             hidden_sizes=hidden_sizes,
             learning_rate=learning_rate,
             max_epochs=max_epochs,
             seed=seed,
-            batch_size=batch_size,
-            shuffle=shuffle,
         )
         #: seconds spent assembling the training set / optimizing the
         #: MLP in the last fit() call (Fig. 6 breakdown).

@@ -398,18 +398,22 @@ class _RowCachedFeaturizer:
                     if member != node:
                         through[member].discard(clique)
 
-    def _cached_featurize_many(
+    def featurize_many(
         self,
         cliques: Sequence[Clique],
         graph: WeightedGraph,
-        reference_graph: Optional[WeightedGraph],
+        reference_graph: Optional[WeightedGraph] = None,
     ) -> np.ndarray:
-        """Serve rows from the cache, batch-computing only the misses.
+        """Stack feature rows for several cliques, shape (n, n_features).
 
-        Non-frozenset candidates (ad-hoc lists/tuples) bypass the cache:
-        they are featurized with the misses but never stored, since the
-        pool and the samplers always hand the hot path frozensets.
+        Rows are served from the cache; only the misses are computed,
+        in one :meth:`_compute_rows` batch.  Non-frozenset candidates
+        (ad-hoc lists/tuples) bypass the cache: they are featurized with
+        the misses but never stored, since the pool and the samplers
+        always hand the hot path frozensets.
         """
+        if not cliques:
+            return np.zeros((0, self.n_features))
         reference = reference_graph if reference_graph is not None else graph
         scope = (graph.uid, reference.uid)
         extra = self._cache_stamp_extra(graph, reference)
@@ -488,7 +492,6 @@ class CliqueFeaturizer(_RowCachedFeaturizer):
         clique: Iterable[int],
         graph: WeightedGraph,
         reference_graph: WeightedGraph = None,
-        _mhh_cache: dict = None,
     ) -> np.ndarray:
         """Feature vector for ``clique`` measured on ``graph``.
 
@@ -496,9 +499,7 @@ class CliqueFeaturizer(_RowCachedFeaturizer):
         is the vectorized hot path.  ``reference_graph`` is the graph
         against which the maximality indicator is evaluated (the paper
         uses the original projected graph ``G``); it defaults to
-        ``graph``.  ``_mhh_cache`` is an optional per-batch memo of edge
-        MHH values - overlapping cliques share edges, and MHH dominates
-        the per-clique cost.
+        ``graph``.
         """
         members = sorted(set(clique))
         if len(members) < 2:
@@ -513,14 +514,7 @@ class CliqueFeaturizer(_RowCachedFeaturizer):
         internal_weight = 0.0
         for u, v in combinations(members, 2):
             weight = float(graph.weight(u, v))
-            if _mhh_cache is None:
-                bound = float(mhh(graph, u, v))
-            else:
-                key = (u, v)
-                bound = _mhh_cache.get(key)
-                if bound is None:
-                    bound = float(mhh(graph, u, v))
-                    _mhh_cache[key] = bound
+            bound = float(mhh(graph, u, v))
             multiplicities.append(weight)
             mhh_values.append(bound)
             mhh_portions.append(bound / weight if weight > 0 else 0.0)
@@ -557,21 +551,9 @@ class CliqueFeaturizer(_RowCachedFeaturizer):
         ``reduceat`` kernels.  Cliques whose members are untouched since
         their last featurization are served from the feature-row cache.
         """
-        if not cliques:
-            return np.zeros((0, self.n_features))
-        if type(self).featurize is not CliqueFeaturizer.featurize:
-            # A subclass customized the per-clique features; fall back to
-            # the scalar path so its override keeps applying.
-            mhh_cache: dict = {}
-            return np.vstack(
-                [
-                    self.featurize(
-                        clique, graph, reference_graph, _mhh_cache=mhh_cache
-                    )
-                    for clique in cliques
-                ]
-            )
-        return self._cached_featurize_many(cliques, graph, reference_graph)
+        # Defined on this class, not only inherited, so that perfbench's
+        # tracer can wrap it as the featurization layer.
+        return super().featurize_many(cliques, graph, reference_graph)
 
     def _compute_rows(
         self,
@@ -685,22 +667,6 @@ class StructuralFeaturizer(_RowCachedFeaturizer):
             + [size, boundary_ratio, maximal]
         )
         return np.asarray(features, dtype=np.float64)
-
-    def featurize_many(
-        self,
-        cliques: Sequence[Clique],
-        graph: WeightedGraph,
-        reference_graph: WeightedGraph = None,
-    ) -> np.ndarray:
-        if not cliques:
-            return np.zeros((0, self.n_features))
-        if type(self).featurize is not StructuralFeaturizer.featurize:
-            # A subclass customized the per-clique features; fall back to
-            # the scalar path so its override keeps applying.
-            return np.vstack(
-                [self.featurize(clique, graph, reference_graph) for clique in cliques]
-            )
-        return self._cached_featurize_many(cliques, graph, reference_graph)
 
     def _compute_rows(
         self,

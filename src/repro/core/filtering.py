@@ -63,8 +63,8 @@ def filter_guaranteed_pairs(
         return intermediate, reconstruction
     rows = snapshot.keys // snapshot.key_base
     cols = snapshot.keys % snapshot.key_base
-    # Each undirected edge once; the alive mask skips tombstoned and
-    # reserved-slack slots of a structurally patched snapshot.
+    # Each undirected edge once; the alive mask skips the slots of
+    # pairs a decrement emptied since the snapshot was built.
     upper = (rows < cols) & snapshot.alive
     a, b, weights = rows[upper], cols[upper], snapshot.wts[upper]
     residuals = weights - snapshot.batch_mhh(a, b)

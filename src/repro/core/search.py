@@ -20,9 +20,8 @@ from repro.hypergraph.cliques import Clique, maximal_cliques_list
 from repro.hypergraph.graph import Node, WeightedGraph
 from repro.hypergraph.hypergraph import Hypergraph
 
-# SplitMix64 primitives live in repro.rng so the orchestrator, the
-# sharding partitioner, and the MLP shuffle stream all share the exact
-# same mix.
+# SplitMix64 primitives live in repro.rng so the orchestrator and the
+# sharding partitioner share the exact same mix.
 from repro.rng import MASK64, mix64, mix64_int
 
 

@@ -17,20 +17,23 @@ Mutations are classified into two kinds with different cache behavior:
 - **Weight-only** mutations (a decrement that leaves positive weight, a
   ``set_weight`` between two positive values, an ``add_edge`` on an
   existing edge) keep the adjacency *structure* intact.  They bump the
-  ``version`` counter and the two endpoints' ``touch_version`` stamps,
-  and patch the cached CSR snapshot **in place** (two binary searches
-  plus a handful of array writes) instead of discarding it.  Structure-
-  dependent caches (neighbor sets, maximality memo) survive.
+  ``version`` counter and the two endpoints' ``touch_version`` stamps;
+  structure-dependent caches (neighbor sets, maximality memo) survive.
 - **Structural** mutations (an edge appearing or vanishing, a new node)
   additionally bump ``structure_version`` and invalidate the
   structure-dependent caches (:meth:`neighbor_sets`, the maximality
-  memo).  Edge inserts and deletes between *known* nodes still patch
-  the cached CSR snapshot in place: a delete tombstones its two slots
-  (``alive`` mask + weight 0), an insert consumes one of the row's
-  reserved slack slots (capacity is declared up front when the snapshot
-  is built, pyoptsparse-style).  Only slack exhaustion, a new node, or
-  a periodic tombstone-compaction pass fall back to a full rebuild;
-  :meth:`WeightedGraph.snapshot_patch_stats` counts each outcome.
+  memo).
+
+MARIOH only ever takes multiplicity away from a projected graph
+(filtering strips provable size-2 weight, clique conversion decrements
+pairs), so only the decrement path patches the cached CSR snapshot in
+place: a surviving pair queues a weight patch (two binary searches plus
+a handful of array writes, applied lazily in one batch) and a vanished
+pair tombstones its two slots (``alive`` mask + weight 0).  A periodic
+tombstone-compaction pass drops the snapshot.  A live edit
+(``add_edge`` / ``set_weight``) or a new node drops it too, and the
+next :meth:`WeightedGraph.snapshot` call rebuilds it dense;
+:meth:`WeightedGraph.snapshot_patch_stats` counts each outcome.
 
 Every mutation stamps the nodes it touches with the new ``version``
 (``touch_version``).  The stamps are kept in touch order - a re-touched
@@ -112,34 +115,26 @@ class GraphSnapshot:
     there, which makes every batch kernel total (unknown nodes simply
     have weight 0, degree 0, and no common neighbors).
 
-    Each row is built with *capacity* ``degree + slack``: ``indptr``
-    spans row capacities, the trailing slack slots carry the row's
-    sentinel key ``row * (V + 1) + V`` (phantom column - sorts after
-    every real column of the row and before the next row), and the
-    ``alive`` mask marks which slots hold live edges.  This up-front
-    structure declaration is what lets the owning graph patch
-    *structural* mutations in place:
+    A snapshot is built dense - ``indptr`` spans each row's degree at
+    build time - and the owning graph's decrements patch it in place:
 
     - :meth:`_patch_weight` rewrites a live edge's weight (weight-only
       mutations);
     - :meth:`_patch_delete` tombstones an edge's two slots (``alive``
       False, weight 0, key kept so binary searches still resolve the
-      slot - and so a later re-insert can resurrect it);
-    - :meth:`_patch_insert` resurrects a tombstone or shifts the row's
-      tail right into one reserved slack slot.
+      slot).
 
-    ``keys`` therefore stays sorted (non-strictly: slack sentinels of a
-    row share one key) at all times, and every binary-search consumer
-    masks hits through ``alive``.  Aggregates (``degrees``,
-    ``weighted_degrees``, ``n_live``, ``n_tombstones``) track the live
-    edges only.  Treat a snapshot you obtained from
+    ``keys`` therefore never changes after the build, and every
+    binary-search consumer masks hits through ``alive``.  Aggregates
+    (``degrees``, ``weighted_degrees``, ``n_live``, ``n_tombstones``)
+    track the live edges only.  Treat a snapshot you obtained from
     :meth:`WeightedGraph.snapshot` as a live view, not a frozen copy;
-    :meth:`compacted_arrays` exports a dense tombstone/slack-free copy.
+    :meth:`compacted_arrays` exports a tombstone-free copy.
     """
 
     node_ids: np.ndarray  #: (V,) sorted node identifiers
     index: Dict[Node, int]  #: node id -> row index
-    indptr: np.ndarray  #: (V + 2,) row *capacity* pointers incl. phantom row
+    indptr: np.ndarray  #: (V + 2,) row pointers incl. phantom row, as built
     nbr: np.ndarray  #: (S,) column indices, row-major / col-sorted
     wts: np.ndarray  #: (S,) float64 edge weights aligned with ``nbr``
     keys: np.ndarray  #: (S,) int64 ``row * (V + 1) + col``, ascending
@@ -147,7 +142,6 @@ class GraphSnapshot:
     weighted_degrees: np.ndarray  #: (V + 1,) float64 live weighted degree
     version: int  #: graph version this snapshot reflects
     alive: np.ndarray  #: (S,) bool mask of live slots
-    row_free: np.ndarray  #: (V + 1,) unused slack slots per row
     n_live: int  #: number of live directed slots (= 2E)
     n_tombstones: int  #: number of tombstoned slots
 
@@ -261,7 +255,7 @@ class GraphSnapshot:
         """Tombstone the live edge ``(iu, iv)`` in place.
 
         The two slots keep their keys (binary searches still land on
-        them; a later insert resurrects them) but drop out of the
+        them) but drop out of the
         ``alive`` mask with weight 0, so every kernel reads the edge as
         absent.  Returns False - snapshot untouched - when either slot
         is missing, in which case the caller rebuilds.
@@ -315,68 +309,13 @@ class GraphSnapshot:
         object.__setattr__(self, "version", version)
         return True
 
-    def _patch_insert(
-        self, iu: int, iv: int, weight: float, version: int
-    ) -> bool:
-        """Materialize the new edge ``(iu, iv)`` in place.
-
-        Each direction either resurrects its tombstoned slot (the edge
-        existed before) or claims one of the row's reserved slack slots
-        by shifting the row tail right one position (keys stay sorted).
-        Returns False - snapshot untouched - when either direction has
-        neither a tombstone nor free slack, in which case the caller
-        rebuilds with fresh slack.
-        """
-        base = self.key_base
-        plans = []
-        for row, col in ((iu, iv), (iv, iu)):
-            key = row * base + col
-            pos = int(np.searchsorted(self.keys, key))
-            if pos < len(self.keys) and self.keys[pos] == key:
-                if self.alive[pos]:
-                    return False  # edge already live: not an insert
-                plans.append((True, pos, row, col))
-            elif self.row_free[row] > 0:
-                plans.append((False, pos, row, col))
-            else:
-                return False  # slack exhausted for this row
-        resurrected = 0
-        for is_resurrect, pos, row, col in plans:
-            if is_resurrect:
-                self.alive[pos] = True
-                self.wts[pos] = weight
-                resurrected += 1
-            else:
-                # Shift the used tail of the row right by one slot; the
-                # vacated sentinel at ``used_end`` absorbs the shift.
-                # (The two rows are distinct, so the second plan's
-                # position is unaffected by the first shift.)
-                used_end = int(self.indptr[row + 1] - self.row_free[row])
-                self.keys[pos + 1 : used_end + 1] = self.keys[pos:used_end]
-                self.nbr[pos + 1 : used_end + 1] = self.nbr[pos:used_end]
-                self.wts[pos + 1 : used_end + 1] = self.wts[pos:used_end]
-                self.alive[pos + 1 : used_end + 1] = self.alive[pos:used_end]
-                self.keys[pos] = row * base + col
-                self.nbr[pos] = col
-                self.wts[pos] = weight
-                self.alive[pos] = True
-                self.row_free[row] -= 1
-            self.degrees[row] += 1
-            self.weighted_degrees[row] += weight
-        object.__setattr__(self, "n_live", self.n_live + 2)
-        object.__setattr__(
-            self, "n_tombstones", self.n_tombstones - resurrected
-        )
-        object.__setattr__(self, "version", version)
-        return True
-
     def compacted_arrays(self) -> Dict[str, np.ndarray]:
-        """Dense copies of the CSR arrays with tombstones/slack dropped.
+        """Dense copies of the CSR arrays with tombstones dropped.
 
-        Two snapshots of the same logical graph - however they diverged
-        in slack layout or tombstone history - compare equal on these
-        arrays; the structural-patching fuzz tests pin patched-vs-rebuilt
-        equivalence through this view.
+        Two snapshots of the same logical graph - however their
+        tombstone histories differ - compare equal on these arrays; the
+        snapshot-patching fuzz tests pin patched-vs-rebuilt equivalence
+        through this view.
         """
         mask = self.alive
         indptr = np.zeros(len(self.indptr), dtype=np.int64)
@@ -414,7 +353,7 @@ class GraphSnapshot:
         """Concatenated live neighbor-slot positions for a batch of rows.
 
         For ``rows[i]``, the result enumerates the positions of its
-        *live* CSR entries (tombstones and slack slots are masked out):
+        *live* CSR entries (tombstones are masked out):
         ``flat`` indexes into ``nbr``/``wts``, and ``owner`` maps each
         position back to ``i``.  This is the shared expansion step of
         every batch kernel that walks neighbor lists.
@@ -502,16 +441,11 @@ class WeightedGraph:
         featurizers' feature-row cache.
     """
 
-    #: Per-row slack reserved when a snapshot is built: each row gets
-    #: ``max(snapshot_slack_min, ceil(snapshot_slack_fraction * degree))``
-    #: spare slots for future in-place inserts.  Class-level defaults;
-    #: assign on an instance to tune (tests shrink them to force the
-    #: slack-exhaustion fallback).
-    snapshot_slack_min = 2
-    snapshot_slack_fraction = 0.125
-    #: Compaction trigger: after a structural patch, the snapshot is
-    #: dropped (rebuilt lazily with fresh slack) once tombstones exceed
-    #: both this absolute count and this fraction of all used slots.
+    #: Compaction trigger: after a tombstone patch, the snapshot is
+    #: dropped (rebuilt lazily, dense) once tombstones exceed both this
+    #: absolute count and this fraction of all slots.  Class-level
+    #: defaults; assign on an instance to tune (tests shrink them to
+    #: cross the compaction boundary).
     snapshot_tombstone_min = 64
     snapshot_tombstone_fraction = 0.5
 
@@ -538,10 +472,9 @@ class WeightedGraph:
         }
         # Weight-only snapshot patches are queued here (keyed by the
         # normalized snapshot index pair, last write wins) and applied
-        # lazily - in one batch - when the snapshot is next read or a
-        # structural patch needs the weight slots current.  Entries are
-        # only meaningful for the currently cached snapshot; every site
-        # that drops ``_snapshot_cache`` clears the queue.
+        # lazily - in one batch - when the snapshot is next read.
+        # Entries are only meaningful for the currently cached snapshot;
+        # every site that drops ``_snapshot_cache`` clears the queue.
         self._pending_weight_patches: Dict[Tuple[int, int], int] = {}
         if nodes is not None:
             for node in nodes:
@@ -626,42 +559,6 @@ class WeightedGraph:
         self._neighbor_sets_cache = None
         self._maximality_memo = None
 
-    def _bump_insert(self, u: Node, v: Node, weight: int) -> None:
-        """Record the edge ``{u, v}`` appearing with ``weight``.
-
-        Instead of discarding the cached CSR snapshot this patches it in
-        place: the edge resurrects its tombstone or claims reserved
-        slack (:meth:`GraphSnapshot._patch_insert`).  No weight patch
-        can be queued for the pair - queued patches only ever name live
-        edges, and a vanishing edge drops its own - and other pairs'
-        queued patches are keyed by index pair, not slot position, so
-        they survive the slot shift an insert may cause.  The snapshot
-        is only dropped when the patch fails (slack exhausted, unknown
-        node), counted in :meth:`snapshot_patch_stats` as a miss so the
-        reported hit rate reflects actual rebuild work.
-        Structure-dependent caches (neighbor sets, maximality memo) are
-        always invalidated.
-        """
-        self._version += 1
-        self._structure_version += 1
-        self._touch(u, v)
-        self._neighbor_sets_cache = None
-        self._maximality_memo = None
-        snapshot = self._snapshot_cache
-        if snapshot is None:
-            return
-        iu = snapshot.index.get(u)
-        iv = snapshot.index.get(v)
-        if (
-            iu is not None
-            and iv is not None
-            and snapshot._patch_insert(iu, iv, weight, self._version)
-        ):
-            self._patch_stats["structural_hits"] += 1
-        else:
-            self._patch_stats["structural_misses"] += 1
-            self._drop_snapshot()
-
     def _should_compact(self, snapshot: GraphSnapshot) -> bool:
         tombstones = snapshot.n_tombstones
         used = tombstones + snapshot.n_live
@@ -669,33 +566,6 @@ class WeightedGraph:
             tombstones > self.snapshot_tombstone_min
             and tombstones > self.snapshot_tombstone_fraction * used
         )
-
-    def _patch(self, u: Node, v: Node, weight: int) -> None:
-        """Record a *weight-only* mutation of the existing edge ``{u, v}``.
-
-        The adjacency structure is unchanged, so neighbor sets and the
-        maximality memo stay valid, and the cached CSR snapshot - if one
-        was built - is patched in place instead of being rebuilt.  Only
-        the two endpoints' touch versions advance, which is what keeps
-        feature rows of unrelated cliques cache-valid.
-        """
-        self._version += 1
-        self._touch(u, v)
-        snapshot = self._snapshot_cache
-        if snapshot is None:
-            return
-        iu = snapshot.index.get(u)
-        iv = snapshot.index.get(v)
-        if iu is None or iv is None:
-            self._patch_stats["weight_misses"] += 1
-            self._drop_snapshot()
-            return
-        # Queue for the next lazy flush (snapshot read or structural
-        # patch).  Last write per pair wins; the normalized key makes
-        # (u, v) and (v, u) patches collapse onto one entry.
-        if iu > iv:
-            iu, iv = iv, iu
-        self._pending_weight_patches[(iu, iv)] = weight
 
     def add_node(self, node: Node) -> None:
         """Insert an isolated node (no-op if already present)."""
@@ -709,21 +579,7 @@ class WeightedGraph:
     def add_edge(self, u: Node, v: Node, weight: int = 1) -> None:
         """Add ``weight`` to the multiplicity of edge ``{u, v}``."""
         check_increment(u, v, weight)
-        self.add_node(u)
-        self.add_node(v)
-        current = self._adj[u].get(v, 0)
-        structural = current == 0
-        if structural:
-            self._num_edges += 1
-        self._adj[u][v] = current + weight
-        self._adj[v][u] = current + weight
-        self._total_weight += weight
-        self._weighted_degree[u] += weight
-        self._weighted_degree[v] += weight
-        if structural:
-            self._bump_insert(u, v, current + weight)
-        else:
-            self._patch(u, v, current + weight)
+        self._edit(u, v, self.weight(u, v) + weight)
 
     def set_weight(self, u: Node, v: Node, weight: int) -> None:
         """Set the multiplicity of edge ``{u, v}``; 0 removes the edge."""
@@ -732,22 +588,38 @@ class WeightedGraph:
         if weight == 0:
             self.remove_edge(u, v)
             return
+        self._edit(u, v, weight)
+
+    def _edit(self, u: Node, v: Node, weight: int) -> None:
+        """The live-edit step of :meth:`add_edge` / :meth:`set_weight`:
+        set ``{u, v}`` to the positive ``weight``.
+
+        Bumps :attr:`version` and stamps both endpoints; an edge that
+        appears also bumps :attr:`structure_version` and invalidates the
+        neighbor sets and the maximality memo.  A cached snapshot is
+        dropped and counted as one structural or weight miss - the next
+        :meth:`snapshot` rebuilds it - since only decrements patch it.
+        """
         self.add_node(u)
         self.add_node(v)
         current = self._adj[u].get(v, 0)
-        structural = current == 0
-        if structural:
-            self._num_edges += 1
         delta = weight - current
         self._adj[u][v] = weight
         self._adj[v][u] = weight
         self._total_weight += delta
         self._weighted_degree[u] += delta
         self._weighted_degree[v] += delta
-        if structural:
-            self._bump_insert(u, v, weight)
-        else:
-            self._patch(u, v, weight)
+        self._version += 1
+        self._touch(u, v)
+        if current == 0:
+            self._num_edges += 1
+            self._structure_version += 1
+            self._neighbor_sets_cache = None
+            self._maximality_memo = None
+        if self._snapshot_cache is not None:
+            miss = "structural_misses" if current == 0 else "weight_misses"
+            self._patch_stats[miss] += 1
+            self._drop_snapshot()
 
     def decrement_edge(self, u: Node, v: Node, amount: int = 1) -> int:
         """Decrease the weight of ``{u, v}``; remove the edge at zero.
@@ -1143,9 +1015,11 @@ class WeightedGraph:
 
         ``weight_hits`` / ``weight_misses`` count weight-only mutations
         that patched / failed to patch a cached snapshot;
-        ``structural_hits`` / ``structural_misses`` the same for edge
-        inserts and deletes (a miss is a forced rebuild: slack
-        exhaustion, an unknown node, or a tripped compaction threshold);
+        ``structural_hits`` / ``structural_misses`` the same for edges
+        that vanish.  A miss is a forced rebuild: a failed patch, a
+        tripped compaction threshold, or a live edit (``add_edge`` /
+        ``set_weight``), which always drops the snapshot and counts one
+        weight miss, or one structural miss when the edge is new.
         ``compactions`` counts tombstone-compaction rebuilds
         specifically (each also counted as a structural miss, so hit
         rates derived as ``hits / (hits + misses)`` reflect every
@@ -1163,8 +1037,9 @@ class WeightedGraph:
         The incremental-patch protocol promises the cached
         :class:`GraphSnapshot` is either absent or stamped with the
         current :attr:`version` and sized to the current node set; a
-        mismatch means a mutation bypassed ``_bump``/``_patch`` and
-        every consumer of the snapshot may be scoring stale weights.
+        mismatch means a mutation bypassed the mutation methods'
+        bookkeeping and every consumer of the snapshot may be scoring
+        stale weights.
         Returns a description of the first violation, or ``None`` when
         coherent.  Cheap (counter comparisons only) - safe to call once
         per reconstruction iteration.
@@ -1233,50 +1108,19 @@ class WeightedGraph:
             dtype=np.float64,
             count=n,
         )
-        # Declare row capacities up front: live degree plus reserved
-        # slack, so later structural inserts patch in place instead of
-        # rebuilding.  Slack slots carry the row's sentinel key
-        # ``row * base + n`` (phantom column), keeping ``keys`` sorted.
-        slack = np.zeros(n + 1, dtype=np.int64)
-        if n:
-            slack[:n] = np.maximum(
-                int(self.snapshot_slack_min),
-                np.ceil(
-                    float(self.snapshot_slack_fraction) * degrees[:n]
-                ).astype(np.int64),
-            )
-        capacity = degrees + slack
         indptr = np.zeros(n + 2, dtype=np.int64)
-        np.cumsum(capacity, out=indptr[1:])
-        total = int(indptr[n + 1])
-        full_keys = np.repeat(
-            np.arange(n + 1, dtype=np.int64) * base + n, capacity
-        )
-        full_nbr = np.full(total, n, dtype=np.int64)
-        full_wts = np.zeros(total, dtype=np.float64)
-        alive = np.zeros(total, dtype=bool)
-        if n_dir:
-            live_counts = degrees[:n]
-            within = np.arange(n_dir, dtype=np.int64) - np.repeat(
-                np.cumsum(live_counts) - live_counts, live_counts
-            )
-            dest = np.repeat(indptr[:n], live_counts) + within
-            full_keys[dest] = keys
-            full_nbr[dest] = keys % base
-            full_wts[dest] = wts
-            alive[dest] = True
+        np.cumsum(degrees, out=indptr[1:])
         return GraphSnapshot(
             node_ids=np.asarray(node_ids, dtype=np.int64),
             index=index,
             indptr=indptr,
-            nbr=full_nbr,
-            wts=full_wts,
-            keys=full_keys,
+            nbr=keys % base,
+            wts=wts,
+            keys=keys,
             degrees=degrees,
             weighted_degrees=weighted,
             version=self._version,
-            alive=alive,
-            row_free=slack,
+            alive=np.ones(n_dir, dtype=bool),
             n_live=n_dir,
             n_tombstones=0,
         )

@@ -12,8 +12,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.rng import counter_permutation, mix_tokens
-
 #: Rows per forward-pass tile when scoring (see
 #: :meth:`MLPClassifier.predict_proba`).
 SCORE_TILE = 64
@@ -82,48 +80,30 @@ class MLPClassifier:
     hidden_sizes:
         Widths of the hidden ReLU layers.
     learning_rate, batch_size, max_epochs:
-        Optimization knobs.  ``batch_size=None`` trains full-batch: one
-        vectorized Adam step per epoch over the whole training split,
-        with no shuffle draw (the epoch order is fixed, so the run is
-        deterministic by construction).
+        Optimization knobs.
     patience:
         Early-stopping patience (epochs without validation-loss
         improvement); validation uses a 10% holdout of the training set.
     l2:
         L2 weight penalty.
     seed:
-        Seed for weight init, batching, and the validation split.
-    shuffle:
-        How mini-batch epoch permutations are drawn.  ``"sequential"``
-        (the default, bit-identical to the historical behavior) draws
-        them from the same sequential RNG stream as the weight init and
-        validation split.  ``"counter"`` derives permutation ``e`` as a
-        pure SplitMix64 function of ``(seed, e)``: the shuffle stream is
-        decoupled, so architecture or holdout changes cannot perturb the
-        batch order (and vice versa), and any epoch's permutation can be
-        reproduced without replaying the stream.
+        Seed for weight init, batching, and the validation split: one
+        sequential stream draws the init, the holdout and each epoch's
+        mini-batch permutation, in that order.
     """
-
-    #: Accepted values of the ``shuffle`` knob.
-    SHUFFLE_MODES = ("sequential", "counter")
 
     def __init__(
         self,
         hidden_sizes: Sequence[int] = (64, 32),
         learning_rate: float = 1e-3,
-        batch_size: Optional[int] = 64,
+        batch_size: int = 64,
         max_epochs: int = 200,
         patience: int = 15,
         l2: float = 1e-5,
         seed: Optional[int] = None,
-        shuffle: str = "sequential",
     ) -> None:
-        if batch_size is not None and batch_size <= 0:
-            raise ValueError(f"batch_size must be positive or None, got {batch_size}")
-        if shuffle not in self.SHUFFLE_MODES:
-            raise ValueError(
-                f"shuffle must be one of {self.SHUFFLE_MODES}, got {shuffle!r}"
-            )
+        if not isinstance(batch_size, int) or batch_size <= 0:
+            raise ValueError(f"batch_size must be a positive int, got {batch_size}")
         self.hidden_sizes = tuple(hidden_sizes)
         self.learning_rate = learning_rate
         self.batch_size = batch_size
@@ -131,7 +111,6 @@ class MLPClassifier:
         self.patience = patience
         self.l2 = l2
         self.seed = seed
-        self.shuffle = shuffle
         self._weights: List[np.ndarray] = []
         self._biases: List[np.ndarray] = []
         self._flat_params: np.ndarray = np.zeros(0)
@@ -245,39 +224,13 @@ class MLPClassifier:
         stall = 0
         self.loss_history_ = []
 
-        full_batch = self.batch_size is None
-        if full_batch:
-            # Hoist the (fixed-order) training slice: the full-batch path
-            # takes one Adam step per epoch and never shuffles.
-            x_train = x[train_idx]
-            y_train = y_indexed[train_idx]
-        shuffle_seed = mix_tokens(
-            self.seed if self.seed is not None else 0, ("mlp-shuffle",)
-        )
-
-        for epoch in range(self.max_epochs):
-            if full_batch:
-                # Same accounting convention as the mini-batch branch
-                # (sum of per-batch mean losses over n samples), so
-                # histories are comparable across batch_size settings.
-                self.loss_history_.append(
-                    self._train_batch(x_train, y_train, adam)
-                    / max(1, len(train_idx))
-                )
-            else:
-                if self.shuffle == "counter":
-                    perm = counter_permutation(
-                        shuffle_seed, epoch, len(train_idx)
-                    )
-                else:
-                    perm = rng.permutation(len(train_idx))
-                epoch_loss = 0.0
-                for start in range(0, len(perm), self.batch_size):
-                    batch = train_idx[perm[start : start + self.batch_size]]
-                    epoch_loss += self._train_batch(
-                        x[batch], y_indexed[batch], adam
-                    )
-                self.loss_history_.append(epoch_loss / max(1, len(perm)))
+        for _ in range(self.max_epochs):
+            perm = rng.permutation(len(train_idx))
+            epoch_loss = 0.0
+            for start in range(0, len(perm), self.batch_size):
+                batch = train_idx[perm[start : start + self.batch_size]]
+                epoch_loss += self._train_batch(x[batch], y_indexed[batch], adam)
+            self.loss_history_.append(epoch_loss / max(1, len(perm)))
 
             if use_validation:
                 val_loss = self._loss(x[val_idx], y_indexed[val_idx])

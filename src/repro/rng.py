@@ -3,7 +3,8 @@
 The SplitMix64 finalizer is a bijective avalanche mix on 64-bit
 integers.  Everything that needs *order-independent* determinism -
 Phase-2 sub-clique sampling, the experiment orchestrator's per-cell
-seeds, the MLP's decoupled shuffle stream - derives its values as pure
+seeds, the shard partitioner's tie salts, fault injection and retry
+jitter - derives its values as pure
 functions of ``(seed, counter)`` through this mix instead of consuming a
 shared sequential RNG stream.  A consumer can therefore be added,
 removed, re-ordered, or sharded across processes without perturbing any
@@ -90,19 +91,3 @@ def unit_uniform(seed: int, tokens: Iterable[object]) -> float:
     the orchestrator's per-cell seed stream without any cross-talk.
     """
     return mix_tokens(seed, tokens) / 2.0**64
-
-
-def counter_permutation(seed: int, counter: int, n: int) -> np.ndarray:
-    """Deterministic permutation of ``range(n)`` keyed by ``(seed, counter)``.
-
-    Each index is ranked by ``mix64(salt ^ index)`` where ``salt`` mixes
-    the seed and counter; a stable argsort of the ranks is the
-    permutation.  Unlike ``Generator.permutation`` it consumes no stream
-    state: permutation ``counter`` is the same no matter how many other
-    permutations were drawn before it.
-    """
-    if n <= 0:
-        return np.zeros(0, dtype=np.intp)
-    salt = np.uint64(mix64_int(mix64_int(seed & MASK64) ^ (counter & MASK64)))
-    keys = mix64(salt ^ np.arange(n, dtype=np.uint64))
-    return np.argsort(keys, kind="stable")

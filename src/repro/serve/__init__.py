@@ -6,8 +6,8 @@ a *frozen* projected graph.  This package turns that into a service:
 - :class:`~repro.serve.engine.StreamingReconstructor` accepts a stream
   of projected-graph edits (``add_edge`` / ``remove_edge`` /
   ``reweight``) against a long-lived :class:`~repro.hypergraph.graph.
-  WeightedGraph` - whose cached CSR snapshot is structurally patched in
-  place, never rebuilt per edit - and keeps the reconstructed
+  WeightedGraph` - an edit is a few dict writes; the live graph builds
+  no CSR snapshot - and keeps the reconstructed
   hypergraph continuously up to date, re-deriving only the connected
   components an edit actually touched (exact, because
   ``phase2_scope="component"`` makes reconstruction decompose over

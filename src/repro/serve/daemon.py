@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.hypergraph.graph import WeightedGraph
 from repro.resilience.checkpoint import CheckpointStore
-from repro.serve.engine import StreamingReconstructor
+from repro.serve.engine import StreamingReconstructor, is_integer
 from repro.serve.protocol import (
     ProtocolError,
     decode_request,
@@ -491,12 +491,13 @@ class ReconstructionServer:
 
     def _op_query(self, request) -> Tuple[Dict[str, object], bool]:
         self.stats["queries_total"] += 1
-        reconstruction = self.engine.reconstruction()
         nodes = request.get("nodes")
-        items = reconstruction.items()
+        if nodes is not None and not (
+            isinstance(nodes, list) and all(map(is_integer, nodes))
+        ):
+            raise ValueError("query 'nodes' must be a list of integers")
+        items = self.engine.reconstruction().items()
         if nodes is not None:
-            if not isinstance(nodes, list):
-                raise ValueError("query 'nodes' must be a list")
             wanted = {int(node) for node in nodes}
             items = [item for item in items if not wanted.isdisjoint(item[0])]
         edges = [

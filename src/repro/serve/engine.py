@@ -6,11 +6,10 @@ projected-graph edits, the exact hypergraph a one-shot
 current graph.  Three existing mechanisms make that cheap:
 
 1. **In-place graph maintenance.**  Edits mutate one long-lived
-   :class:`~repro.hypergraph.graph.WeightedGraph`; weight-only edits
-   queue lazy CSR weight patches and structural edits tombstone /
-   slack-insert into the cached snapshot, so no edit triggers a full
-   snapshot rebuild (only compaction boundaries do - the PR 7
-   machinery, inherited wholesale).
+   :class:`~repro.hypergraph.graph.WeightedGraph` - a few dict writes,
+   counter bumps and touch stamps each.  The live graph never builds a
+   CSR snapshot: every refresh reconstructs a fresh ``subgraph`` of a
+   dirty component, and snapshots are built and patched there.
 2. **Component decomposability.**  With ``phase2_scope="component"``
    the reconstruction of a graph is exactly the disjoint union of the
    reconstructions of its connected components (the sharded-parity
@@ -46,6 +45,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -61,6 +61,19 @@ EDIT_OPS = ("add_edge", "remove_edge", "reweight")
 
 #: an edit, normalized: ``(op, u, v, amount)``.
 Edit = Tuple[str, Node, Node, int]
+
+
+def is_integer(value: object) -> bool:
+    """True for an integer - ``numbers.Integral``, numpy's included -
+    that is not a ``bool``.
+
+    The wire boundary's field check: ``int()`` alone would also turn
+    ``1.9``, ``0.5``, ``True`` and ``"3"`` into integers, so a malformed
+    field would name a node or a weight that nobody sent.
+    """
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
 
 
 def normalize_edit(edit: Sequence[object]) -> Edit:
@@ -81,20 +94,18 @@ def normalize_edit(edit: Sequence[object]) -> Edit:
     op = edit[0]
     if op not in EDIT_OPS:
         raise ValueError(f"unknown edit op {op!r}; expected one of {EDIT_OPS}")
-    try:
-        u = int(edit[1])
-        v = int(edit[2])
-    except (TypeError, ValueError):
+    if not (is_integer(edit[1]) and is_integer(edit[2])):
         raise ValueError(f"edit endpoints must be integers, got {edit!r}")
+    u = int(edit[1])
+    v = int(edit[2])
     if u == v:
         raise ValueError(f"self-loops are not allowed (node {u})")
     if op == "remove_edge":
         return (op, u, v, 0)
     if len(edit) == 4:
-        try:
-            amount = int(edit[3])
-        except (TypeError, ValueError):
+        if not is_integer(edit[3]):
             raise ValueError(f"edit amount must be an integer, got {edit!r}")
+        amount = int(edit[3])
     elif op == "add_edge":
         amount = 1
     else:
@@ -388,8 +399,8 @@ def random_edit_stream(
     :func:`repro.rng.derive_seed` with a domain tag, so it cannot alias
     any other subsystem's stream).  Removals and reweights are biased
     toward currently-live edges - the stream tracks a weight mirror -
-    so streams exercise real structural churn (tombstones, slack
-    inserts, vanishing components) instead of mostly no-op removals;
+    so streams exercise real structural churn (edges and components
+    appearing and vanishing) instead of mostly no-op removals;
     some misses are kept on purpose (removing an absent edge must be a
     no-op end to end).  The remaining probability mass
     ``1 - p_add - p_remove`` goes to reweights, including occasional

@@ -302,7 +302,3 @@ class TestRunGrid:
             == 2
         )
         assert "retry budget" in capsys.readouterr().out
-
-    def test_unknown_bench_rejected(self, capsys):
-        assert main(["run-grid", "--bench", "no_such_bench"]) == 2
-        assert "known:" in capsys.readouterr().out

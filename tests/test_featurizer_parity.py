@@ -154,22 +154,6 @@ class TestFeaturizerParity:
         )
         np.testing.assert_allclose(batched, loop, rtol=0, atol=1e-9)
 
-    def test_subclass_with_custom_featurize_falls_back(self):
-        """A subclass overriding featurize() must keep its semantics in
-        featurize_many (the guard routes it through the scalar loop)."""
-
-        class Doubling(StructuralFeaturizer):
-            def featurize(self, clique, graph, reference_graph=None):
-                return 2.0 * super().featurize(clique, graph, reference_graph)
-
-        graph = WeightedGraph()
-        for u, v in combinations(range(4), 2):
-            graph.add_edge(u, v)
-        cliques = [frozenset({0, 1}), frozenset({0, 1, 2})]
-        doubled = Doubling().featurize_many(cliques, graph)
-        plain = StructuralFeaturizer().featurize_many(cliques, graph)
-        np.testing.assert_allclose(doubled, 2.0 * plain, rtol=0, atol=1e-12)
-
 
 class TestEngineDefault:
     def test_incremental_is_default(self):

@@ -174,7 +174,7 @@ def _snapshot_arrays(graph):
     return {
         name: getattr(snapshot, name)
         for name in ("node_ids", "indptr", "nbr", "wts", "keys", "degrees",
-                     "weighted_degrees", "alive", "row_free")
+                     "weighted_degrees", "alive")
     }
 
 
@@ -367,25 +367,6 @@ class TestTouchVersionsAndPatching:
         np.testing.assert_array_equal(snapshot.degrees, [0, 1, 1, 0])
         assert graph.snapshot_patch_stats()["structural_hits"] == 1
 
-    def test_new_edge_consumes_reserved_slack_in_place(self):
-        import numpy as np
-
-        graph = WeightedGraph()
-        graph.add_edge(0, 1, 1)
-        graph.add_edge(1, 2, 2)
-        snapshot = graph.snapshot()
-        graph.add_edge(0, 2, 5)  # new edge between known nodes
-        assert graph.snapshot() is snapshot  # slack-inserted, not rebuilt
-        assert snapshot.version == graph.version
-        assert snapshot.n_live == 6
-        a = snapshot.index_of([0, 0])
-        b = snapshot.index_of([2, 1])
-        np.testing.assert_array_equal(snapshot.pair_weights(a, b), [5.0, 1.0])
-        np.testing.assert_array_equal(snapshot.degrees, [2, 2, 2, 0])
-        # keys stay sorted (non-strictly: slack sentinels share keys)
-        assert np.all(np.diff(snapshot.keys) >= 0)
-        assert graph.snapshot_patch_stats()["structural_hits"] == 1
-
     def test_new_node_rebuilds_snapshot(self):
         graph = WeightedGraph()
         graph.add_edge(0, 1, 1)
@@ -397,23 +378,25 @@ class TestTouchVersionsAndPatching:
         # node insert dropped it), so nothing is counted as a miss
         assert graph.snapshot_patch_stats()["structural_misses"] == 0
 
-    def test_slack_exhaustion_falls_back_to_rebuild(self):
-        graph = WeightedGraph(nodes=range(6))
-        graph.snapshot_slack_min = 1
-        graph.snapshot_slack_fraction = 0.0
+    def test_live_edits_drop_snapshot(self):
+        import numpy as np
+
+        graph = WeightedGraph()
         graph.add_edge(0, 1, 1)
-        snapshot = graph.snapshot()
-        graph.add_edge(0, 2, 1)  # consumes row 0's single slack slot
-        assert graph.snapshot() is snapshot
-        graph.add_edge(0, 3, 1)  # row 0 slack exhausted -> rebuild
+        graph.add_edge(1, 2, 2)
+        graph.snapshot()
+        graph.add_edge(0, 2, 5)  # new edge between known nodes
+        assert graph._snapshot_cache is None
+        graph.snapshot()
+        graph.set_weight(0, 2, 3)  # weight-only edit
         assert graph._snapshot_cache is None
         stats = graph.snapshot_patch_stats()
-        assert stats["structural_hits"] == 1
         assert stats["structural_misses"] == 1
+        assert stats["weight_misses"] == 1
         rebuilt = graph.snapshot()
-        assert rebuilt.pair_weights(
-            rebuilt.index_of([0]), rebuilt.index_of([3])
-        )[0] == 1.0
+        a = rebuilt.index_of([0, 0])
+        b = rebuilt.index_of([2, 1])
+        np.testing.assert_array_equal(rebuilt.pair_weights(a, b), [3.0, 1.0])
 
     def test_tombstone_compaction_threshold_triggers_rebuild(self):
         graph = WeightedGraph()
@@ -574,10 +557,9 @@ class TestSnapshotKernels:
         graph.add_edge(1, 3, 1)
         snapshot = graph.snapshot()
         np.testing.assert_array_equal(snapshot.node_ids, [1, 3, 5])
-        # live keys strictly ascending; the full array (slack sentinels
-        # included) still sorts, non-strictly.
-        assert np.all(np.diff(snapshot.keys[snapshot.alive]) > 0)
-        assert np.all(np.diff(snapshot.keys) >= 0)
+        # built dense: every slot live, keys strictly ascending
+        assert snapshot.alive.all()
+        assert np.all(np.diff(snapshot.keys) > 0)
         np.testing.assert_array_equal(snapshot.degrees, [2, 2, 2, 0])
         np.testing.assert_array_equal(
             snapshot.weighted_degrees, [3.0, 8.0, 9.0, 0.0]

@@ -1,11 +1,9 @@
-"""Mini-batching and shuffle-stream tests for the MLP classifier.
+"""Mini-batch tests for the MLP classifier.
 
-Covers the three contracts of the batching overhaul: ``batch_size=None``
-is exactly the vectorized full-batch path (one Adam step per epoch,
-bit-reproducible), the ``"counter"`` shuffle stream is a pure function
-of ``(seed, epoch)``, and the batched path's gradients stay correct
+Covers the batched path's contracts: its gradients stay correct
 (finite-difference checked with the machinery from
-``tests/test_gradients.py``).
+``tests/test_gradients.py``), ``batch_size`` is validated, and the
+classifier pipeline hands its knobs to the MLP.
 """
 
 import numpy as np
@@ -13,8 +11,7 @@ import pytest
 
 from repro.core.classifier import CliqueClassifier
 from repro.hypergraph.projection import project
-from repro.ml.mlp import MLPClassifier, _AdamState
-from repro.rng import counter_permutation, mix_tokens
+from repro.ml.mlp import MLPClassifier
 from tests.conftest import structured_triangles_hypergraph
 from tests.test_gradients import (
     NoStepAdam,
@@ -23,8 +20,7 @@ from tests.test_gradients import (
 
 
 def _binary_problem(n=12, d=4, seed=3):
-    """A small labeled problem; n < 20 keeps the validation split off,
-    so training consumes no holdout permutation and parity is exact."""
+    """A small labeled problem; n < 20 keeps the validation split off."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, d))
     y = (x[:, 0] + 0.5 * x[:, 1] > 0).astype(int)
@@ -33,150 +29,22 @@ def _binary_problem(n=12, d=4, seed=3):
     return x, y
 
 
-class TestFullBatchParity:
-    def test_batch_size_none_equals_manual_full_batch_steps(self):
-        """``batch_size=None`` must be *exactly* one full-batch Adam step
-        per epoch: bitwise equal to driving ``_train_batch`` by hand."""
-        x, y = _binary_problem()
-        epochs = 5
-        model = MLPClassifier(
-            hidden_sizes=(6,), batch_size=None, max_epochs=epochs, seed=9
-        )
-        model.fit(x, y)
-
-        reference = MLPClassifier(hidden_sizes=(6,), seed=9)
-        xs = np.asarray(x, dtype=np.float64)
-        mean = xs.mean(axis=0)
-        std = xs.std(axis=0)
-        std = np.where(std < 1e-12, 1.0, std)
-        xs = (xs - mean) / std
-        classes = np.unique(y)
-        y_indexed = np.searchsorted(classes, y)
-        rng = np.random.default_rng(9)
-        reference._n_classes = 2
-        reference._init_params(x.shape[1], 1, rng)
-        adam = _AdamState(len(reference._flat_params))
-        losses = [
-            reference._train_batch(xs, y_indexed, adam)
-            for _ in range(epochs)
-        ]
-
-        for got, expected in zip(model._weights, reference._weights):
-            np.testing.assert_array_equal(got, expected)
-        for got, expected in zip(model._biases, reference._biases):
-            np.testing.assert_array_equal(got, expected)
-        # History follows the mini-batch accounting convention (sum of
-        # per-batch mean losses over n samples).
-        assert model.loss_history_ == [loss / len(x) for loss in losses]
-
-    def test_full_batch_close_to_single_minibatch(self):
-        """A mini-batch covering the whole training set takes the same
-        steps up to row order, so predictions must agree numerically
-        (row permutation only perturbs float summation order)."""
-        x, y = _binary_problem(n=16)
-        full = MLPClassifier(
-            hidden_sizes=(6,), batch_size=None, max_epochs=10, seed=2
-        ).fit(x, y)
-        single = MLPClassifier(
-            hidden_sizes=(6,),
-            batch_size=len(x),
-            max_epochs=10,
-            seed=2,
-            shuffle="counter",
-        ).fit(x, y)
-        np.testing.assert_allclose(
-            full.predict_proba(x), single.predict_proba(x), atol=1e-6
-        )
-
-    def test_full_batch_is_bit_reproducible(self):
-        x, y = _binary_problem(n=40)  # includes the validation split
-        def run():
-            model = MLPClassifier(
-                hidden_sizes=(5,), batch_size=None, max_epochs=25, seed=4
-            ).fit(x, y)
-            return model.predict_proba(x)
-
-        np.testing.assert_array_equal(run(), run())
-
-
-class TestCounterShuffleStream:
-    def test_permutation_is_pure_function(self):
-        for seed, epoch, n in [(0, 0, 10), (7, 3, 64), (123, 99, 257)]:
-            first = counter_permutation(seed, epoch, n)
-            second = counter_permutation(seed, epoch, n)
-            np.testing.assert_array_equal(first, second)
-            assert sorted(first.tolist()) == list(range(n))
-
-    def test_permutations_differ_across_epochs_and_seeds(self):
-        base = counter_permutation(5, 0, 50)
-        assert not np.array_equal(base, counter_permutation(5, 1, 50))
-        assert not np.array_equal(base, counter_permutation(6, 0, 50))
-
-    def test_counter_mode_is_bit_reproducible(self):
-        x, y = _binary_problem(n=40)
-
-        def run():
-            model = MLPClassifier(
-                hidden_sizes=(6,),
-                batch_size=8,
-                max_epochs=20,
-                seed=11,
-                shuffle="counter",
-            ).fit(x, y)
-            return model.predict_proba(x)
-
-        np.testing.assert_array_equal(run(), run())
-
-    def test_counter_stream_decoupled_from_init_rng(self):
-        """The epoch permutations are a pure function of (seed, epoch) -
-        exactly what the training loop derives via mix_tokens - so no
-        amount of extra init/holdout RNG consumption can shift them."""
-        seed = 11
-        stream_seed = mix_tokens(seed, ("mlp-shuffle",))
-        first_epoch = counter_permutation(stream_seed, 0, 36)
-        # Sequential mode *would* have drawn this from the shared rng
-        # after init and the validation split; counter mode is immune.
-        assert sorted(first_epoch.tolist()) == list(range(36))
-        np.testing.assert_array_equal(
-            first_epoch, counter_permutation(stream_seed, 0, 36)
-        )
-
-    def test_sequential_default_unchanged_by_new_knobs(self):
-        """The default configuration must ignore the new machinery: an
-        explicitly spelled-out legacy config trains identically."""
-        x, y = _binary_problem(n=40)
-        default = MLPClassifier(hidden_sizes=(6,), max_epochs=15, seed=3).fit(
-            x, y
-        )
-        explicit = MLPClassifier(
-            hidden_sizes=(6,),
-            max_epochs=15,
-            seed=3,
-            batch_size=64,
-            shuffle="sequential",
-        ).fit(x, y)
-        for got, expected in zip(default._weights, explicit._weights):
-            np.testing.assert_array_equal(got, expected)
-        assert default.loss_history_ == explicit.loss_history_
-
-
 class TestBatchedGradients:
     def test_batched_path_gradients_match_finite_differences(self):
-        """After training through the counter-shuffled mini-batch path,
-        the backward pass on a mini-batch still matches central
-        differences (reusing the test_gradients machinery)."""
+        """After training through the mini-batch path, the backward pass
+        on a mini-batch still matches central differences (reusing the
+        test_gradients machinery)."""
         x, y = _binary_problem(n=18, d=3, seed=5)
         model = MLPClassifier(
             hidden_sizes=(4,),
             batch_size=6,
             max_epochs=8,
             seed=1,
-            shuffle="counter",
             l2=0.0,  # the FD reference loss has no weight penalty
         )
         model.fit(x, y)
         xs = model._standardize(np.asarray(x, dtype=np.float64))
-        batch = counter_permutation(0, 0, len(xs))[:6]
+        batch = np.random.default_rng(0).permutation(len(xs))[:6]
         assert_backward_matches_finite_differences(
             model, xs[batch], y[batch].astype(np.float64)
         )
@@ -193,18 +61,30 @@ class TestBatchedGradients:
 
 class TestValidationAndIntegration:
     def test_invalid_knobs_rejected(self):
-        with pytest.raises(ValueError):
-            MLPClassifier(batch_size=0)
-        with pytest.raises(ValueError):
-            MLPClassifier(batch_size=-8)
-        with pytest.raises(ValueError):
-            MLPClassifier(shuffle="random")
+        for batch_size in (0, -8, None, 2.5):
+            with pytest.raises(ValueError):
+                MLPClassifier(batch_size=batch_size)
+        with pytest.raises(TypeError):
+            MLPClassifier(shuffle="counter")
 
-    def test_full_batch_loss_descends(self):
-        x, y = _binary_problem(n=60, d=5, seed=8)
-        model = MLPClassifier(
-            hidden_sizes=(8,), batch_size=None, max_epochs=80, seed=0
+    def test_explicit_batch_size_64_equals_default(self):
+        """Spelling out the default batch size trains identically."""
+        x, y = _binary_problem(n=40)
+        default = MLPClassifier(hidden_sizes=(6,), max_epochs=15, seed=3).fit(
+            x, y
+        )
+        explicit = MLPClassifier(
+            hidden_sizes=(6,), max_epochs=15, seed=3, batch_size=64
         ).fit(x, y)
+        for got, expected in zip(default._weights, explicit._weights):
+            np.testing.assert_array_equal(got, expected)
+        assert default.loss_history_ == explicit.loss_history_
+
+    def test_loss_descends(self):
+        x, y = _binary_problem(n=60, d=5, seed=8)
+        model = MLPClassifier(hidden_sizes=(8,), max_epochs=80, seed=0).fit(
+            x, y
+        )
         history = model.loss_history_
         assert all(np.isfinite(history))
         assert history[-1] < history[0]
@@ -213,10 +93,13 @@ class TestValidationAndIntegration:
         hypergraph = structured_triangles_hypergraph(seed=0, n_groups=8)
         graph = project(hypergraph)
         classifier = CliqueClassifier(
-            seed=0, max_epochs=30, batch_size=None, shuffle="counter"
+            seed=0, max_epochs=30, hidden_sizes=(16,), learning_rate=1e-2
         )
-        assert classifier._mlp.batch_size is None
-        assert classifier._mlp.shuffle == "counter"
+        mlp = classifier._mlp
+        assert (mlp.seed, mlp.max_epochs) == (0, 30)
+        assert (mlp.hidden_sizes, mlp.learning_rate) == ((16,), 1e-2)
+        with pytest.raises(TypeError):
+            CliqueClassifier(batch_size=None)
         classifier.fit(graph, hypergraph)
         scores = classifier.score(list(hypergraph.edges()), graph)
         assert scores.shape == (len(set(hypergraph.edges())),)

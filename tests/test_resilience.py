@@ -579,7 +579,7 @@ class TestEngineInvariants:
         assert graph.check_snapshot_coherence() is None
         graph.snapshot()
         assert graph.check_snapshot_coherence() is None
-        # Simulate a mutation that bypassed _bump/_patch entirely.
+        # Simulate a mutation that bypassed the mutation methods.
         graph._version += 1
         violation = graph.check_snapshot_coherence()
         assert violation is not None

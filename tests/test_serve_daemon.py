@@ -106,6 +106,16 @@ def test_query_filters_by_nodes(server):
             assert 10 in members or 11 in members
 
 
+def test_query_rejects_non_integer_nodes(server):
+    with connect(server) as client:
+        client.apply([["add_edge", 0, 1], ["add_edge", 1, 2]])
+        for nodes in ([1.5], [True], ["1"], 1):
+            response = client.request({"op": "query", "nodes": nodes})
+            assert response["ok"] is False, nodes
+            assert "list of integers" in response["error"]
+        assert client.query(nodes=[1])["ok"]
+
+
 def test_request_id_is_echoed(server):
     with connect(server) as client:
         response = client.request({"op": "stats", "id": "abc-123"})

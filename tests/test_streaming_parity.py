@@ -472,6 +472,10 @@ def test_normalize_edit_accepts_all_ops():
         ["grow_edge", 0, 1],            # unknown op
         ["add_edge", 0],                # arity
         "add_edge 0 1",                 # not a sequence of fields
+        ["reweight", 0, 1, 0.5],        # fractional weight (not 0)
+        ["add_edge", 1.9, 2],           # fractional endpoint (not 1)
+        ["add_edge", True, 2],          # bool endpoint (not node 1)
+        ["add_edge", "3", 1],           # numeric string (not node 3)
     ],
 )
 def test_normalize_edit_rejects(bad):
