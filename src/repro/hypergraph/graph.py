@@ -57,6 +57,7 @@ the counters once and stamps nothing, like :meth:`WeightedGraph.copy`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from itertools import combinations
 from typing import (
@@ -89,6 +90,32 @@ _UID_COUNTER = itertools.count()
 #: vanished pairs of one clique conversion).
 _SCALAR_PATCH_MAX = 16
 _SCALAR_TOMBSTONE_MAX = 8
+
+#: The batch MHH and common-neighbor kernels run at most this many pairs
+#: at a time, which bounds their temporary arrays (one entry per probed
+#: neighbor slot) on a large filter pass.  Exact: each pair's matches
+#: stay in its own block, in slot order.
+_KERNEL_BLOCK_PAIRS = 8192
+
+
+def _in_pair_blocks(kernel):
+    """Run the batch kernel ``kernel(snapshot, a, b)`` on consecutive
+    blocks of at most ``_KERNEL_BLOCK_PAIRS`` row-index pairs and
+    concatenate the results."""
+
+    @functools.wraps(kernel)
+    def blocked(snapshot, a, b):
+        a = np.atleast_1d(np.asarray(a, dtype=np.int64))
+        b = np.atleast_1d(np.asarray(b, dtype=np.int64))
+        step = _KERNEL_BLOCK_PAIRS
+        if len(a) <= step:
+            return kernel(snapshot, a, b)
+        return np.concatenate([
+            kernel(snapshot, a[start:start + step], b[start:start + step])
+            for start in range(0, len(a), step)
+        ])
+
+    return blocked
 
 
 def _ordered(u: Node, v: Node) -> Tuple[Node, Node]:
@@ -398,11 +425,10 @@ class GraphSnapshot:
         found = (self.keys[pos] == search) & self.alive[pos]
         return pair_of[found], self.wts[flat[found]], self.wts[pos[found]]
 
+    @_in_pair_blocks
     def batch_mhh(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Eq. (1) for every row-index pair: sorted-neighbor intersection
-        with ``min`` sums, one pass for the batch."""
-        a = np.atleast_1d(np.asarray(a, dtype=np.int64))
-        b = np.atleast_1d(np.asarray(b, dtype=np.int64))
+        with ``min`` sums, one pass per block of pairs."""
         if len(a) == 0 or len(self.keys) == 0:
             return np.zeros(len(a), dtype=np.float64)
         pair_of, w1, w2 = self._intersect(a, b)
@@ -412,12 +438,11 @@ class GraphSnapshot:
         # bincount returns int64 for empty inputs even with float weights
         return sums.astype(np.float64, copy=False)
 
+    @_in_pair_blocks
     def batch_common_neighbor_counts(
         self, a: np.ndarray, b: np.ndarray
     ) -> np.ndarray:
         """``|N(a[i]) ∩ N(b[i])|`` for every row-index pair."""
-        a = np.atleast_1d(np.asarray(a, dtype=np.int64))
-        b = np.atleast_1d(np.asarray(b, dtype=np.int64))
         if len(a) == 0 or len(self.keys) == 0:
             return np.zeros(len(a), dtype=np.int64)
         return np.bincount(self._intersect(a, b)[0], minlength=len(a))
@@ -583,6 +608,8 @@ class WeightedGraph:
 
     def set_weight(self, u: Node, v: Node, weight: int) -> None:
         """Set the multiplicity of edge ``{u, v}``; 0 removes the edge."""
+        if u == v:
+            raise ValueError(f"self-loops are not allowed (node {u})")
         if weight < 0:
             raise ValueError(f"edge weights must be >= 0, got {weight}")
         if weight == 0:

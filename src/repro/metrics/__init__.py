@@ -1,25 +1,14 @@
 """Reconstruction-quality metrics.
 
 Jaccard and multi-Jaccard similarity (the paper's headline accuracy
-numbers, Sect. II-B) and the 12 structural properties with their
-preservation errors (Table IV).
+numbers, Sect. II-B).  The 12 structural properties with their
+preservation errors (Table IV) need SciPy, so they are not re-exported
+here: import them from :mod:`repro.metrics.structure`.
 """
 
 from repro.metrics.jaccard import jaccard_similarity, multi_jaccard_similarity
-from repro.metrics.structure import (
-    distributional_properties,
-    ks_statistic,
-    normalized_difference,
-    scalar_properties,
-    structure_preservation_report,
-)
 
 __all__ = [
     "jaccard_similarity",
     "multi_jaccard_similarity",
-    "scalar_properties",
-    "distributional_properties",
-    "normalized_difference",
-    "ks_statistic",
-    "structure_preservation_report",
 ]

@@ -1,13 +1,14 @@
 """Small NumPy neural-network and evaluation stack.
 
-The paper's classifier is "a simple MLP" and its link-prediction harness
-uses a two-layer GCN; this subpackage implements both from scratch on
-NumPy (dense layers, ReLU, sigmoid/softmax, Adam) plus the evaluation
-metrics the experiments report (AUC, micro/macro F1, NMI) and spectral
-(Laplacian) embeddings for graphs and hypergraphs.
+The paper's classifier is "a simple MLP"; this subpackage implements it
+directly on NumPy (dense layers, ReLU, sigmoid/softmax, Adam) plus the
+evaluation metrics the experiments report (AUC, micro/macro F1, NMI).
+The link-prediction harness's two-layer GCN and the spectral
+(Laplacian) embeddings for graphs and hypergraphs need SciPy, so they
+are not re-exported here: import them from :mod:`repro.ml.gcn` and
+:mod:`repro.ml.spectral`.
 """
 
-from repro.ml.gcn import GCNLinkEmbedder
 from repro.ml.metrics import (
     accuracy_score,
     f1_scores,
@@ -15,18 +16,11 @@ from repro.ml.metrics import (
     roc_auc_score,
 )
 from repro.ml.mlp import MLPClassifier
-from repro.ml.spectral import (
-    graph_spectral_embedding,
-    hypergraph_spectral_embedding,
-)
 
 __all__ = [
     "MLPClassifier",
-    "GCNLinkEmbedder",
     "roc_auc_score",
     "f1_scores",
     "accuracy_score",
     "normalized_mutual_information",
-    "graph_spectral_embedding",
-    "hypergraph_spectral_embedding",
 ]

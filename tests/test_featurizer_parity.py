@@ -21,13 +21,19 @@ from repro.core.features import CliqueFeaturizer, StructuralFeaturizer
 from repro.core.filtering import filter_guaranteed_pairs, mhh
 from repro.core.marioh import MARIOH
 from repro.datasets import load
-from repro.hypergraph.graph import WeightedGraph
+import repro.hypergraph.graph as graph_module
+from repro.hypergraph.graph import GraphSnapshot, WeightedGraph
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.projection import project
 from repro.hypergraph.split import split_source_target
 from tests.conftest import random_hypergraph
 
 FEATURIZERS = [CliqueFeaturizer, StructuralFeaturizer, MotifFeaturizer]
+
+#: The default kernel block size, and two that split every test batch
+#: into several blocks (with a partial last one at 3 whenever the batch
+#: length is not a multiple of it).
+KERNEL_BLOCKS = (graph_module._KERNEL_BLOCK_PAIRS, 1, 3)
 
 
 def _random_graph(rng, n_nodes, edge_prob=0.35, max_weight=6):
@@ -49,6 +55,46 @@ def _random_candidates(rng, n_nodes, n_candidates=12, allow_unknown=True):
     return candidates
 
 
+def _convert_one_clique(graph):
+    """Decrement a triangle of ``graph`` (an edge if it has none) by its
+    lightest pair's weight, as a conversion does: at least one pair
+    vanishes, so the cached snapshot tombstones its slots."""
+    edges = sorted(graph.edges())
+    members = next(
+        (
+            (u, v, w)
+            for u, v in edges
+            for w in sorted(graph.common_neighbors(u, v))
+            if w > v
+        ),
+        edges[0],
+    )
+    amount = min(graph.weight(x, y) for x, y in combinations(members, 2))
+    graph.decrement_clique(members, amount)
+
+
+def _check_blocked_kernel(graph, pairs, kernel, reference):
+    """``kernel(snapshot, a, b)`` over ``pairs`` equals ``reference(u, v)``
+    exactly at every size in :data:`KERNEL_BLOCKS`, on the snapshot as
+    built and again after a clique conversion tombstoned slots in it."""
+    snapshot = graph.snapshot()
+    a = snapshot.index_of(u for u, _ in pairs)
+    b = snapshot.index_of(v for _, v in pairs)
+    for state in ("dense", "tombstoned"):
+        if state == "tombstoned":
+            _convert_one_clique(graph)
+            assert graph.snapshot() is snapshot
+            assert snapshot.n_tombstones > 0
+        expected = np.array([reference(u, v) for u, v in pairs])
+        for block in KERNEL_BLOCKS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(graph_module, "_KERNEL_BLOCK_PAIRS", block)
+                batched = kernel(snapshot, a, b)
+            np.testing.assert_array_equal(
+                batched, expected, err_msg=f"{state} snapshot, block {block}"
+            )
+
+
 class TestBatchedKernels:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)
@@ -58,12 +104,10 @@ class TestBatchedKernels:
         edges = list(graph.edges())
         if not edges:
             return
-        snapshot = graph.snapshot()
-        a = snapshot.index_of(u for u, _ in edges)
-        b = snapshot.index_of(v for _, v in edges)
-        batched = snapshot.batch_mhh(a, b)
-        scalar = np.array([mhh(graph, u, v) for u, v in edges], dtype=float)
-        np.testing.assert_array_equal(batched, scalar)
+        _check_blocked_kernel(
+            graph, edges, GraphSnapshot.batch_mhh,
+            lambda u, v: mhh(graph, u, v),
+        )
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)
@@ -71,23 +115,17 @@ class TestBatchedKernels:
         rng = np.random.default_rng(seed)
         graph = _random_graph(rng, int(rng.integers(4, 18)))
         nodes = sorted(graph.nodes)
-        if len(nodes) < 2:
+        if graph.num_edges == 0:
             return
         pairs = [
             (nodes[int(i)], nodes[int(j)])
             for i, j in rng.integers(0, len(nodes), size=(20, 2))
             if i != j
         ]
-        if not pairs:
-            return
-        snapshot = graph.snapshot()
-        a = snapshot.index_of(u for u, _ in pairs)
-        b = snapshot.index_of(v for _, v in pairs)
-        batched = snapshot.batch_common_neighbor_counts(a, b)
-        scalar = np.array(
-            [len(graph.common_neighbors(u, v)) for u, v in pairs]
+        _check_blocked_kernel(
+            graph, pairs, GraphSnapshot.batch_common_neighbor_counts,
+            lambda u, v: len(graph.common_neighbors(u, v)),
         )
-        np.testing.assert_array_equal(batched, scalar)
 
     def test_vectorized_filtering_matches_scalar_reference(self):
         for seed in range(5):

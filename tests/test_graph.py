@@ -43,6 +43,18 @@ class TestMutation:
         graph.set_weight(1, 2, 0)
         assert not graph.has_edge(1, 2)
 
+    @pytest.mark.parametrize("weight", [2, 0])
+    def test_set_weight_rejects_self_loop(self, weight):
+        graph = WeightedGraph()
+        graph.add_edge(1, 3)
+        version = graph.version
+        with pytest.raises(ValueError, match="self-loops"):
+            graph.set_weight(3, 3, weight)
+        assert list(graph.edges_with_weights()) == [(1, 3, 1)]
+        assert graph.num_edges == 1
+        assert graph.weighted_degree(3) == graph.total_weight() == 1
+        assert graph.version == version
+
     def test_decrement_edge(self):
         graph = WeightedGraph()
         graph.add_edge(1, 2, 3)
